@@ -23,6 +23,7 @@ from .errors import (
     GrossoneError,
     InexactInverse,
     InexactProbability,
+    InexactSolution,
     NonTerminatingDivision,
     NotIntegerValued,
     ParseError,
@@ -45,6 +46,7 @@ _ERROR_TABLE = [
     (NonTerminatingDivision, "non-terminating-division", 11),
     (OSError, "io-error", 12),
     (ValueError, "value-error", 13),
+    (InexactSolution, "inexact-solution", 14),
 ]
 
 

@@ -42,7 +42,9 @@ class GrossTerm:
 class GrossNumber:
     """A normalized grossone numeral: term tuple, highest grosspower first."""
 
-    __slots__ = ("terms",)
+    # _hash is filled on first use by __hash__, not here: most numerals
+    # built during arithmetic are never hashed.
+    __slots__ = ("terms", "_hash")
 
     terms: Tuple[GrossTerm, ...]
 
@@ -137,10 +139,14 @@ class GrossNumber:
             return other
         # Both term tuples are sorted strictly decreasing, so merge linearly.
         a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
-            order = compare(a[i].power, b[j].power)
+            order = _compare_terms(a[i].power.terms, b[j].power.terms)
             if order > 0:
                 out.append(a[i])
                 i += 1
@@ -149,7 +155,7 @@ class GrossNumber:
                 j += 1
             else:
                 digit = a[i].digit + b[j].digit
-                if digit != 0:
+                if digit:
                     out.append(GrossTerm(digit, a[i].power))
                 i += 1
                 j += 1
@@ -178,11 +184,16 @@ class GrossNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        pairs = [
-            (ta.digit * tb.digit, ta.power + tb.power)
-            for ta in self.terms
-            for tb in other.terms
-        ]
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # A monomial d*G**p keeps the other operand in normal form:
+            # adding p to strictly decreasing powers keeps them strictly
+            # decreasing, and nonzero digits multiply to nonzero digits.
+            d, p = a[0].digit, a[0].power
+            return GrossNumber(tuple(GrossTerm(d * t.digit, p + t.power) for t in b))
+        pairs = [(ta.digit * tb.digit, ta.power + tb.power) for ta in a for tb in b]
         return GrossNumber(_normalize(pairs))
 
     __rmul__ = __mul__
@@ -209,16 +220,13 @@ class GrossNumber:
         if len(self.terms) == 1:
             t = self.terms[0]
             return GrossNumber((GrossTerm(1 / t.digit, -t.power),))
-        # A multi-term numeral never has a terminating inverse (the product
-        # of two multi-term numerals has distinct leading and trailing
-        # grosspowers), but run the division so the contract stays visible.
-        result = divide(ONE, self, GrossNumber.from_rational(DEFAULT_MIN_POWER))
-        if not result.exact:
-            raise InexactInverse(
-                "inverse of a multi-term numeral does not terminate; "
-                "use divide() with an explicit cutoff"
-            )
-        return result.quotient
+        # A multi-term numeral never has a terminating inverse: its product
+        # with any nonzero numeral has distinct leading and trailing
+        # grosspowers, so it cannot equal 1.
+        raise InexactInverse(
+            "inverse of a multi-term numeral does not terminate; "
+            "use divide() with an explicit cutoff"
+        )
 
     # -- ordering ----------------------------------------------------------
 
@@ -228,36 +236,43 @@ class GrossNumber:
             return other
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return compare(self, other) < 0
+        return _compare_terms(self.terms, other.terms) < 0
 
     def __le__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return compare(self, other) <= 0
+        return _compare_terms(self.terms, other.terms) <= 0
 
     def __gt__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return compare(self, other) > 0
+        return _compare_terms(self.terms, other.terms) > 0
 
     def __ge__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return compare(self, other) >= 0
+        return _compare_terms(self.terms, other.terms) >= 0
 
     def __hash__(self):
-        return hash(self.terms)
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # Equal values hash equal, also across types: zero hashes as 0 and
+        # a rational-valued numeral as the Fraction it equals.
+        terms = self.terms
+        if not terms or (len(terms) == 1 and not terms[0].power.terms):
+            self._hash = hash(self.finite_part())
+        else:
+            self._hash = hash(tuple((t.digit, t.power) for t in terms))
+        return self._hash
 
     def __bool__(self):
         return bool(self.terms)
@@ -294,33 +309,50 @@ def _coerce(value) -> "GrossNumber":
 
 
 def _normalize(pairs) -> Tuple[GrossTerm, ...]:
-    groups: list = []  # [power, digit-sum], insertion order
+    """Sum the (Fraction digit, grosspower) pairs into a normalized tuple."""
+    groups: dict = {}  # grosspower -> digit sum
     for digit, power in pairs:
-        for group in groups:
-            if group[0].terms == power.terms:
-                group[1] += digit
-                break
+        if power in groups:
+            groups[power] += digit
         else:
-            groups.append([power, Fraction(digit)])
-    kept = [(p, d) for p, d in groups if d != 0]
-    kept.sort(key=cmp_to_key(lambda a, b: compare(a[0], b[0])), reverse=True)
-    return tuple(GrossTerm(d, p) for p, d in kept)
+            groups[power] = digit
+    kept = [p for p, d in groups.items() if d]
+    kept.sort(key=_POWER_ORDER, reverse=True)
+    return tuple(GrossTerm(groups[p], p) for p in kept)
 
 
 def compare(a, b) -> int:
     """Total order: -1, 0, or 1 as a < b, a = b, a > b.
 
-    A nonzero numeral has the sign of its leading digit; grosspowers are
-    compared recursively the same way, bottoming out at plain rationals.
+    The sign of a - b is the sign of its leading digit, so walk both term
+    tuples from the leading term: equal terms cancel, and the first term
+    that differs decides.  Grosspowers are compared recursively the same
+    way, bottoming out at plain rationals.
     """
-    a = _coerce(a)
-    b = _coerce(b)
-    if a.terms == b.terms:
-        return 0
-    if a.is_rational() and b.is_rational():
-        fa, fb = a.finite_part(), b.finite_part()
-        return (fa > fb) - (fa < fb)
-    return (a - b).sign()
+    return _compare_terms(_coerce(a).terms, _coerce(b).terms)
+
+
+def _compare_terms(a, b) -> int:
+    """compare() on two normalized term tuples, building no numeral."""
+    for ta, tb in zip(a, b):
+        if ta.power is not tb.power:
+            order = _compare_terms(ta.power.terms, tb.power.terms)
+            if order > 0:
+                # ta's power exceeds every power left in b: ta leads a - b.
+                return 1 if ta.digit > 0 else -1
+            if order < 0:
+                return -1 if tb.digit > 0 else 1
+        da, db = ta.digit, tb.digit
+        if da != db:
+            return 1 if da > db else -1
+    if len(a) > len(b):
+        return 1 if a[len(b)].digit > 0 else -1
+    if len(b) > len(a):
+        return -1 if b[len(a)].digit > 0 else 1
+    return 0
+
+
+_POWER_ORDER = cmp_to_key(lambda p, q: _compare_terms(p.terms, q.terms))
 
 
 def nesting_depth(value: GrossNumber) -> int:
@@ -361,7 +393,7 @@ def divide(
     r = c
     while r.terms:
         k = r.terms[0].power - lead_b.power
-        if compare(k, min_power) < 0:
+        if _compare_terms(k.terms, min_power.terms) < 0:
             return DivisionResult(GrossNumber(tuple(quotient_terms)), r, False)
         if len(quotient_terms) >= max_terms:
             raise NonTerminatingDivision(

@@ -42,6 +42,10 @@ class SingularSystem(GrossoneError):
     """The linear system has no finite solution."""
 
 
+class InexactSolution(GrossoneError):
+    """The solver's residual A*x - b is not infinitesimal: x would be wrong."""
+
+
 class SchemaError(GrossoneError):
     """An input file does not match the expected JSON shape."""
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .core import G, ZERO, GrossNumber, divide
-from .errors import SingularSystem
+from .errors import InexactSolution, SingularSystem
 
 _INV_G = G**-1
 
@@ -61,7 +61,9 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
     """Solve without row interchange, injecting G**-1 for zero pivots.
 
     Raises SingularSystem when a solution component keeps an infinite
-    part, i.e. the injected infinitesimal failed to cancel.
+    part, i.e. the injected infinitesimal failed to cancel, and
+    InexactSolution when the residual A*x - b is not infinitesimal, i.e.
+    the finite solution would be wrong.
     """
     n = system.size
     m = [
@@ -103,6 +105,11 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
             lead = component.terms[0].power
             if residual_lead is None or lead > residual_lead:
                 residual_lead = lead
+    if residual_lead is not None and residual_lead.sign() >= 0:
+        raise InexactSolution(
+            f"residual has a term at grosspower {residual_lead}; "
+            "the finite solution does not solve the system"
+        )
     return SolveReport(
         solution=tuple(xs),
         finite_solution=tuple(x.finite_part() for x in xs),
@@ -135,25 +142,3 @@ def solve_exact_oracle(system: LinearSystem) -> Tuple[Fraction, ...]:
         for j in range(i + 1, n):
             xs[i] -= m[i][j] * xs[j]
     return tuple(xs)
-
-
-def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination with row swaps."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det *= m[col][col]
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / pivot
-            if factor != 0:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from grossone.cli import main
+from support import LOSSY_8X8
 
 H_TEXT = "((x^2 + 2*x)/x - 2)*(34/x)"
 
@@ -141,6 +142,13 @@ def test_solve_singular_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", path)
     assert code == 9
     assert err.startswith("singular-system:")
+
+
+def test_solve_inexact_solution_exit_code(tmp_path, capsys):
+    path = write_system(tmp_path, "lossy.json", *LOSSY_8X8)
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out) == (14, "")
+    assert err.startswith("inexact-solution:")
 
 
 def test_solve_missing_file(capsys):

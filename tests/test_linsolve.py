@@ -14,7 +14,8 @@ from grossone import (
     solve_exact_oracle,
     solve_grossone,
 )
-from support import gn, random_system_with_zero_minors
+from grossone.errors import InexactSolution
+from support import LOSSY_8X8, gn, random_system_with_zero_minors
 
 ZERO_PIVOT_2X2 = LinearSystem.from_rows([[0, 1], [2, 2]], [2, 2])
 DOUBLE_ZERO_3X3 = LinearSystem.from_rows([[0, 0, 1], [2, 0, -1], [1, 2, 3]], [1, 3, 1])
@@ -98,6 +99,13 @@ def test_singular_system_detected():
         solve_grossone(singular)
     with pytest.raises(SingularSystem):
         solve_exact_oracle(singular)
+
+
+def test_finite_residual_raises_instead_of_a_wrong_solution():
+    system = LinearSystem.from_rows(*LOSSY_8X8)
+    with pytest.raises(InexactSolution):
+        solve_grossone(system)
+    assert len(solve_exact_oracle(system)) == 8
 
 
 def test_finite_solution_is_finite_parts():

@@ -62,6 +62,16 @@ def test_multiplication_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(st.tuples(rationals, powers), gross_numbers)
+def test_monomial_product_matches_normalized_product(term, b):
+    m = gt([term])
+    expected = gt(
+        [(tm.digit * tb.digit, tm.power + tb.power) for tm in m.terms for tb in b.terms]
+    )
+    assert (m * b).terms == expected.terms
+    assert (b * m).terms == expected.terms
+
+
 @given(gross_numbers)
 def test_additive_and_multiplicative_identities(a):
     assert a + ZERO == a
@@ -85,6 +95,25 @@ def test_equal_values_have_identical_terms(a, b):
     assert ((a - b) == ZERO) == (a == b)
 
 
+@given(gross_numbers, rationals)
+def test_equal_values_hash_equal(a, q):
+    rebuilt = gt([(t.digit, t.power) for t in reversed(a.terms)])
+    for other in (rebuilt, a + ZERO, (a + gn(q)) - gn(q)):
+        assert other == a and hash(other) == hash(a)
+    # Rational-valued numerals hash like the int or Fraction they equal.
+    assert gn(q) == q and hash(gn(q)) == hash(q)
+    assert gn(q.numerator) == q.numerator and hash(gn(q.numerator)) == hash(q.numerator)
+    if a.is_rational():
+        assert a == a.finite_part() and hash(a) == hash(a.finite_part())
+
+
+def test_rational_numerals_find_dict_entries_by_value():
+    assert {gn(3): 1}.get(3) == 1
+    assert {gn(0): 1}.get(0) == 1
+    assert {gn(Fraction(1, 2)): 1}.get(Fraction(1, 2)) == 1
+    assert {3: 1}.get(gn(3)) == 1
+
+
 @given(gross_numbers)
 def test_terms_strictly_decrease_and_are_nonzero(a):
     for t in a.terms:
@@ -100,6 +129,14 @@ def test_terms_strictly_decrease_and_are_nonzero(a):
 def test_trichotomy(a, b):
     assert [a < b, a == b, a > b].count(True) == 1
     assert compare(a, b) == -compare(b, a)
+
+
+@given(gross_numbers, gross_numbers, gross_numbers)
+def test_compare_is_sign_of_difference(a, b, c):
+    # The sign of the difference defines the order; the shared
+    # addend c makes both term walks pass over equal leading terms.
+    assert compare(a, b) == (a - b).sign()
+    assert compare(a + c, b + c) == (a - b).sign()
 
 
 @given(gross_numbers, gross_numbers, gross_numbers)
