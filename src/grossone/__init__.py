@@ -35,6 +35,7 @@ from .errors import (
     GrossoneError,
     InexactInverse,
     InexactProbability,
+    InexactSum,
     NonTerminatingDivision,
     NotIntegerValued,
     ParseError,
@@ -65,6 +66,7 @@ __all__ = [
     "GrossoneError",
     "InexactInverse",
     "InexactProbability",
+    "InexactSum",
     "LinearSystem",
     "MeasurePiece",
     "NonTerminatingDivision",

@@ -264,11 +264,6 @@ def _repl_directive(line: str, cfg: CliConfig) -> None:
         key, value = parts[1], parts[2]
         if key == "min_power":
             cfg.min_power = int(value)
-        elif key == "depth":
-            depth = int(value)
-            if depth < 1:
-                raise ValueError("depth must be >= 1")
-            cfg.depth_limit = depth
         elif key == "output":
             if value not in ("canonical", "decimal"):
                 raise ValueError("output must be 'canonical' or 'decimal'")

@@ -52,3 +52,7 @@ class SchemaError(GrossoneError):
 
 class InexactProbability(GrossoneError):
     """favorable/total did not divide exactly within the cutoff."""
+
+
+class InexactSum(GrossoneError):
+    """A partial-sum formula's division was truncated at the cutoff."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .core import (
     DEFAULT_MIN_POWER,
@@ -18,7 +18,8 @@ from .core import (
     GrossNumber,
     divide,
 )
-from .errors import ParseError
+from .errors import InexactSum, ParseError
+from .notation import _Cursor
 
 
 class Expr:
@@ -72,80 +73,8 @@ class PowInt(Expr):
     exponent: int
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _scan(text: str) -> List[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "INT"
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                kind = "DEC"
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token(kind, text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if name == "G":
-                tokens.append(_Token("G", name, i))
-            elif name == "x":
-                tokens.append(_Token("VAR", name, i))
-            else:
-                raise ParseError(f"unknown name {name!r}; only 'x' and 'G' are defined", i)
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", n))
-    return tokens
-
-
-class _ExprParser:
+class _ExprParser(_Cursor):
     """Recursive descent; precedence ^ > unary - > * / > + -, left associative."""
-
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Expr:
-        node = self._sum()
-        trailing = self.peek()
-        if trailing.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
-        return node
 
     def _sum(self) -> Expr:
         node = self._product()
@@ -181,9 +110,7 @@ class _ExprParser:
         return PowInt(base, self._exponent())
 
     def _exponent(self) -> int:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        sign = self.sign()
         tok = self.peek()
         if tok.kind != "INT":
             raise ParseError(
@@ -191,12 +118,12 @@ class _ExprParser:
                 tok.pos,
             )
         self.advance()
-        return sign * int(tok.text)
+        return sign * tok.value
 
     def _atom(self) -> Expr:
         tok = self.advance()
         if tok.kind in ("INT", "DEC"):
-            return Constant(Fraction(tok.text))
+            return Constant(Fraction(tok.value))
         if tok.kind == "G":
             return Grossone()
         if tok.kind == "VAR":
@@ -217,7 +144,8 @@ def parse_expr(text: str) -> Expr:
     Exponents are integer literals only.  Constant subtrees (no x, no G)
     are folded to exact rationals, so 10^100 becomes a single constant.
     """
-    return _fold(_ExprParser(_scan(text)).parse())
+    parser = _ExprParser(text)
+    return _fold(parser.complete(parser._sum()))
 
 
 def _fold(node: Expr) -> Expr:
@@ -300,8 +228,11 @@ def eval_sum(closed_form: Expr, items: GrossNumber) -> GrossNumber:
 
     ``closed_form`` is the formula S(x) for the sum of the first x items;
     substituting an infinite numeral counts infinitely many items.
+    InexactSum when a division in the formula was truncated at the cutoff.
     """
-    result, _ = eval_at(closed_form, items)
+    result, exact = eval_at(closed_form, items)
+    if not exact:
+        raise InexactSum("the partial-sum formula does not divide exactly within the cutoff")
     return result
 
 

@@ -11,7 +11,9 @@ Grammar (whitespace between tokens is insignificant)::
 
 ``G`` is the infinite unit.  Decimal digits parse exactly (304.21 is
 30421/100).  Canonical output prints digits as reduced rationals and
-round-trips bit-exactly; decimal output is display-only.
+round-trips bit-exactly; decimal output is display-only.  The scanner and
+token cursor here also serve ``expr``, whose grammar differs: there
+``G^84/5`` is ``(G^84)/5``, here it is ``G^(84/5)``.
 """
 
 from __future__ import annotations
@@ -23,18 +25,25 @@ from .core import DEFAULT_DEPTH_LIMIT, ONE, ZERO, GrossNumber
 from .errors import ParseError
 
 _PUNCT = "+-*/^()"
+_DIGITS = "0123456789"
+_NAMES = {"G": "G", "x": "VAR"}
 
 
 class _Token:
-    __slots__ = ("kind", "text", "pos")
+    """One lexeme; ``value`` is the converted literal for INT (int) and DEC (Fraction)."""
 
-    def __init__(self, kind: str, text: str, pos: int):
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value=None):
         self.kind = kind
         self.text = text
         self.pos = pos
+        self.value = value
 
 
 def _scan(text: str) -> List[_Token]:
+    """Tokens ending with EOF.  Digits are ASCII only ("²" is not one), and a
+    literal past the interpreter's int conversion limit is a ParseError."""
     tokens = []
     i = 0
     n = len(text)
@@ -42,38 +51,48 @@ def _scan(text: str) -> List[_Token]:
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
+        elif ch in _DIGITS:
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
+            kind = "INT"
+            if j + 1 < n and text[j] == "." and text[j + 1] in _DIGITS:
+                kind = "DEC"
+                j += 2
+                while j < n and text[j] in _DIGITS:
                     j += 1
-                tokens.append(_Token("DEC", text[i:j], i))
-            else:
-                tokens.append(_Token("INT", text[i:j], i))
+            literal = text[i:j]
+            try:
+                value = int(literal) if kind == "INT" else Fraction(literal)
+            except ValueError:
+                raise ParseError(f"numeric literal too long ({j - i} characters)", i) from None
+            tokens.append(_Token(kind, literal, i, value))
             i = j
-            continue
-        if ch == "G":
-            tokens.append(_Token("G", ch, i))
-            i += 1
-            continue
-        if ch in _PUNCT:
+        elif ch in _PUNCT:
             tokens.append(_Token(ch, ch, i))
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            kind = _NAMES.get(name)
+            if kind is None:
+                raise ParseError(f"unknown name {name!r}; only 'x' and 'G' are defined", i)
+            tokens.append(_Token(kind, name, i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("EOF", "", n))
     return tokens
 
 
-class _NumeralParser:
-    def __init__(self, tokens: List[_Token], depth_limit: int):
-        self.tokens = tokens
+class _Cursor:
+    """Position in the token list of one text; the grammars subclass it."""
+
+    def __init__(self, text: str):
+        self.tokens = _scan(text)
         self.i = 0
-        self.depth_limit = depth_limit
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -89,19 +108,32 @@ class _NumeralParser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.advance()
 
-    def parse_number(self) -> GrossNumber:
-        pairs: List[Tuple[Fraction, GrossNumber]] = []
-        sign = self._maybe_sign()
-        pairs.append(self._term(sign))
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            pairs.append(self._term(sign))
-        return GrossNumber.from_terms(pairs, self.depth_limit)
-
-    def _maybe_sign(self) -> int:
-        if self.peek().kind in ("+", "-"):
-            return 1 if self.advance().kind == "+" else -1
+    def sign(self) -> int:
+        """Consume an optional "+" or "-"; returns +1 or -1."""
+        kind = self.peek().kind
+        if kind == "+" or kind == "-":
+            self.i += 1
+            return 1 if kind == "+" else -1
         return 1
+
+    def complete(self, value):
+        """Return ``value`` if every token was consumed, else reject the rest."""
+        trailing = self.peek()
+        if trailing.kind != "EOF":
+            raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+        return value
+
+
+class _NumeralParser(_Cursor):
+    def __init__(self, text: str, depth_limit: int):
+        super().__init__(text)
+        self.depth_limit = depth_limit
+
+    def parse_number(self) -> GrossNumber:
+        pairs: List[Tuple[Fraction, GrossNumber]] = [self._term(self.sign())]
+        while self.peek().kind in ("+", "-"):
+            pairs.append(self._term(self.sign()))
+        return GrossNumber.from_terms(pairs, self.depth_limit)
 
     def _term(self, sign: int) -> Tuple[Fraction, GrossNumber]:
         if self.peek().kind == "G":
@@ -118,33 +150,32 @@ class _NumeralParser:
         tok = self.peek()
         if tok.kind == "DEC":
             self.advance()
-            return Fraction(tok.text)
+            return tok.value
         if tok.kind == "INT":
-            self.advance()
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "/":
-                self.advance()
-                denom = self.expect("INT")
-                if int(denom.text) == 0:
-                    raise ParseError("denominator must be a positive integer", denom.pos)
-                value /= int(denom.text)
-            return value
+            return self._rational()
         raise ParseError(f"digit expected, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def _rational(self) -> Fraction:
+        """integer [ "/" positive-integer ], at an INT token."""
+        numerator = self.advance().value
+        if self.peek().kind != "/":
+            return Fraction(numerator)
+        self.advance()
+        denom = self.expect("INT")
+        if denom.value == 0:
+            raise ParseError("denominator must be a positive integer", denom.pos)
+        return Fraction(numerator, denom.value)
 
     def _power_suffix(self) -> GrossNumber:
         if self.peek().kind != "^":
             return ONE
         self.advance()
-        return self._power()
-
-    def _power(self) -> GrossNumber:
-        tok = self.peek()
-        if tok.kind == "(":
+        if self.peek().kind == "(":
             self.advance()
             inner = self.parse_number()
             self.expect(")")
             return inner
-        sign = self._maybe_sign()
+        sign = self.sign()
         tok = self.peek()
         if tok.kind != "INT":
             raise ParseError(
@@ -152,37 +183,20 @@ class _NumeralParser:
                 f"found {tok.text or 'end of input'!r}",
                 tok.pos,
             )
-        self.advance()
-        value = Fraction(int(tok.text))
-        if self.peek().kind == "/":
-            self.advance()
-            denom = self.expect("INT")
-            if int(denom.text) == 0:
-                raise ParseError("denominator must be a positive integer", denom.pos)
-            value /= int(denom.text)
-        return GrossNumber.from_rational(value * sign)
+        return GrossNumber.from_rational(self._rational() * sign)
 
 
 def parse(text: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> GrossNumber:
     """Parse numeral text to an exact, normalized value."""
-    parser = _NumeralParser(_scan(text), depth_limit)
-    value = parser.parse_number()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
-    return value
+    parser = _NumeralParser(text, depth_limit)
+    return parser.complete(parser.parse_number())
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a signed rational or decimal literal ("-4", "1/3", "2.5") exactly."""
-    tokens = _scan(text)
-    parser = _NumeralParser(tokens, DEFAULT_DEPTH_LIMIT)
-    sign = parser._maybe_sign()
-    value = parser._digit() * sign
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
-    return value
+    parser = _NumeralParser(text, DEFAULT_DEPTH_LIMIT)
+    sign = parser.sign()
+    return parser.complete(parser._digit() * sign)
 
 
 # -- printing ----------------------------------------------------------------

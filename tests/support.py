@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 from grossone import GrossNumber, LinearSystem
 
 gn = GrossNumber.from_rational
 gt = GrossNumber.from_terms
+
+# Longest decimal integer the interpreter converts; 0 where it has no limit.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from grossone.cli import main
-from support import LOSSY_8X8
+from support import INT_DIGIT_LIMIT, LOSSY_8X8
 
 H_TEXT = "((x^2 + 2*x)/x - 2)*(34/x)"
 
@@ -58,6 +58,23 @@ def test_eval_requires_at_for_variable(capsys):
 
 def test_eval_syntax_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "1 +")
+    assert code == 3
+    assert err.startswith("syntax-error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("²", id="superscript-digit"),
+        pytest.param(
+            "1" * (INT_DIGIT_LIMIT + 1),
+            id="long-literal",
+            marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no int digit limit"),
+        ),
+    ],
+)
+def test_eval_bad_literal_is_a_syntax_error(capsys, text):
+    code, _, err = run_cli(capsys, "eval", text)
     assert code == 3
     assert err.startswith("syntax-error:") and err.count("\n") == 1
 
@@ -320,6 +337,12 @@ def test_repl_errors_do_not_stop_the_loop(capsys, monkeypatch):
     assert out == "4\n"
     categories = [line.split(":")[0] for line in err.strip().splitlines()]
     assert categories == ["syntax-error", "division-by-zero", "syntax-error", "value-error"]
+
+
+def test_repl_depth_is_not_a_setting(capsys, monkeypatch):
+    code, out, err = run_repl(capsys, monkeypatch, [":set depth 3", "2 + 2", ":quit"])
+    assert code == 0 and out == "4\n"
+    assert err == "value-error: unknown setting 'depth'\n"
 
 
 def test_repl_exits_cleanly_on_eof(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from grossone import (
     ONE,
     ZERO,
     DivisionByZero,
+    InexactSum,
     NotIntegerValued,
     ParseError,
     eval_alternating,
@@ -66,7 +67,7 @@ def test_precedence_and_associativity():
 
 @pytest.mark.parametrize(
     "text",
-    ["x^2.5", "x^y", "x^(2)", "x +", "(x", "x x", "y", "x^", "1.5.2"],
+    ["x^2.5", "x^y", "x^(2)", "x +", "(x", "x x", "y", "x^", "1.5.2", "²"],
 )
 def test_parse_expr_rejects(text):
     with pytest.raises(ParseError):
@@ -165,6 +166,12 @@ def test_sum_difference_can_be_negative():
 
 def test_sum_of_no_items():
     assert eval_sum(parse_expr("x"), ZERO) == ZERO
+
+
+def test_sum_with_truncated_division_raises():
+    assert eval_sum(parse_expr("x/2"), G) == parse("1/2*G")
+    with pytest.raises(InexactSum):
+        eval_sum(parse_expr("x/(x+1)"), G)
 
 
 def test_alternating_sum_by_parity():

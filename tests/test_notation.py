@@ -12,12 +12,15 @@ from grossone import (
     DepthExceeded,
     ParseError,
     divide,
+    eval_at,
     parse,
+    parse_expr,
     parse_rational,
     print_canonical,
     print_decimal,
 )
-from support import gn, gt, random_grossone
+from grossone.expr import Constant, Div, Grossone, PowInt
+from support import INT_DIGIT_LIMIT, gn, gt, random_grossone
 
 MIXED_SUM_CANONICAL = "30421/100*G^(84/5*G) - 71/10*G^12 + 623/100*G^3 + 543/10 + 15*G^(-31/5*G)"
 
@@ -46,6 +49,10 @@ def test_parse_is_normalizing():
 def test_parse_rational_digits_and_powers():
     assert parse("3/4") == gn(F(3, 4))
     assert parse("G^84/5") == gt([(1, F(84, 5))])
+    # The expression grammar groups the same text as (G^84)/5.
+    tree = parse_expr("G^84/5")
+    assert tree == Div(PowInt(Grossone(), 84), Constant(F(5)))
+    assert eval_at(tree, ZERO) == (gt([(F(1, 5), 84)]), True)
     assert parse("G^-31/5") == gt([(1, F(-31, 5))])
     assert parse("7/2*G^-2") == gt([(F(7, 2), -2)])
 
@@ -75,11 +82,29 @@ def test_parse_unit_forms():
         ("3..5", 1),
         ("1*G^(2", 6),
         ("1 2", 2),
+        ("²", 0),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as err:
         parse(text)
+    assert err.value.position == position
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this Python converts integers of any length")
+@pytest.mark.parametrize("parser", [parse, parse_rational, parse_expr])
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("1" * (INT_DIGIT_LIMIT + 1), 0),
+        ("1/" + "3" * (INT_DIGIT_LIMIT + 1), 2),
+        ("1." + "5" * (INT_DIGIT_LIMIT + 1), 0),
+    ],
+    ids=["integer", "denominator", "decimal"],
+)
+def test_over_long_literals_are_positioned_parse_errors(parser, text, position):
+    with pytest.raises(ParseError) as err:
+        parser(text)
     assert err.value.position == position
 
 

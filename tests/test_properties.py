@@ -231,7 +231,7 @@ def test_print_canonical_is_injective(a, b):
 
 # -- parser totality --------------------------------------------------------------------
 
-_TOKEN_POOL = ["0", "1", "23", "4/5", "3.5", "+", "-", "*", "/", "^", "(", ")", "G", "x", " "]
+_TOKEN_POOL = ["0", "1", "23", "4/5", "3.5", "+", "-", "*", "/", "^", "(", ")", "G", "x", " ", "²"]
 junk_text = st.lists(st.sampled_from(_TOKEN_POOL), max_size=12).map("".join)
 
 
