@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .applications import MeasurePiece, event_probability, total_measure
 from .core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER, GrossNumber
@@ -52,8 +52,8 @@ _ERROR_TABLE = [
 
 @dataclass
 class CliConfig:
-    min_power: int = DEFAULT_MIN_POWER
-    depth_limit: int = DEFAULT_DEPTH_LIMIT
+    min_power: int
+    depth_limit: int
     output_mode: str = "canonical"  # or "decimal"
     decimal_digits: int = 6
 
@@ -64,15 +64,20 @@ class CliConfig:
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
+    if args.depth < 1:
+        raise ValueError("--depth must be >= 1")
     cfg = CliConfig(min_power=args.min_power, depth_limit=args.depth)
     if args.decimal is not None:
         cfg.output_mode = "decimal"
-        cfg.decimal_digits = args.decimal
-    if cfg.depth_limit < 1:
-        raise ValueError("--depth must be >= 1")
-    if cfg.decimal_digits < 1:
-        raise ValueError("--decimal digits must be >= 1")
+        cfg.decimal_digits = _decimal_digits(args.decimal)
     return cfg
+
+
+def _decimal_digits(digits: int) -> int:
+    """The one check on a digit count, for --decimal and :set decimal_digits."""
+    if digits < 1:
+        raise ValueError("decimal digits must be >= 1")
+    return digits
 
 
 class _SingleLineParser(argparse.ArgumentParser):
@@ -156,12 +161,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "repl": _cmd_repl,
         }[args.command]
         return handler(args, cfg)
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
-        for exc_type, category, code in _ERROR_TABLE:
-            if isinstance(exc, exc_type):
-                print(f"{category}: {exc}", file=sys.stderr)
-                return code
-        raise
+    except Exception as exc:  # noqa: BLE001 - mapped to exit codes by _ERROR_TABLE
+        category, code = _error_kind(exc)
+        if code is None:
+            raise
+        print(f"{category}: {exc}", file=sys.stderr)
+        return code
+
+
+def _error_kind(exc: Exception) -> Tuple[str, Optional[int]]:
+    """(category, exit code) of the first matching _ERROR_TABLE row, or ("error", None)."""
+    for exc_type, category, code in _ERROR_TABLE:
+        if isinstance(exc, exc_type):
+            return category, code
+    return "error", None
 
 
 def entry() -> None:
@@ -174,10 +187,7 @@ def _cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
         print("usage-error: expression contains 'x'; provide --at NUMERAL", file=sys.stderr)
         return 2
     point = GrossNumber.from_rational(0) if args.at is None else parse(args.at, cfg.depth_limit)
-    value, exact = eval_at(tree, point, cfg.min_power)
-    print(cfg.render(value))
-    print("exact" if exact else "inexact")
-    return 0
+    return _print_result(cfg, *eval_at(tree, point, cfg.min_power))
 
 
 def _cmd_sum(args: argparse.Namespace, cfg: CliConfig) -> int:
@@ -186,12 +196,15 @@ def _cmd_sum(args: argparse.Namespace, cfg: CliConfig) -> int:
         if args.formula is not None:
             print("usage-error: --alternating does not take a formula", file=sys.stderr)
             return 2
-        value, exact = eval_alternating(items), True
-    else:
-        if args.formula is None:
-            print("usage-error: provide a partial-sum formula or --alternating", file=sys.stderr)
-            return 2
-        value, exact = eval_at(parse_expr(args.formula), items, cfg.min_power)
+        return _print_result(cfg, eval_alternating(items), True)
+    if args.formula is None:
+        print("usage-error: provide a partial-sum formula or --alternating", file=sys.stderr)
+        return 2
+    return _print_result(cfg, *eval_at(parse_expr(args.formula), items, cfg.min_power))
+
+
+def _print_result(cfg: CliConfig, value: GrossNumber, exact: bool) -> int:
+    """The value, then "exact" or "inexact" on its own line; exit code 0."""
     print(cfg.render(value))
     print("exact" if exact else "inexact")
     return 0
@@ -253,7 +266,7 @@ def _cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
             suffix = "" if exact else "  (inexact)"
             print(f"{cfg.render(value)}{suffix}")
         except (GrossoneError, ValueError) as exc:
-            print(f"{_category_of(exc)}: {exc}", file=sys.stderr)
+            print(f"{_error_kind(exc)[0]}: {exc}", file=sys.stderr)
 
 
 def _repl_directive(line: str, cfg: CliConfig) -> None:
@@ -269,30 +282,21 @@ def _repl_directive(line: str, cfg: CliConfig) -> None:
                 raise ValueError("output must be 'canonical' or 'decimal'")
             cfg.output_mode = value
         elif key == "decimal_digits":
-            digits = int(value)
-            if digits < 1:
-                raise ValueError("decimal_digits must be >= 1")
-            cfg.decimal_digits = digits
+            cfg.decimal_digits = _decimal_digits(int(value))
         else:
             raise ValueError(f"unknown setting {key!r}")
     except ValueError as exc:
         print(f"value-error: {exc}", file=sys.stderr)
 
 
-def _category_of(exc: Exception) -> str:
-    for exc_type, category, _ in _ERROR_TABLE:
-        if isinstance(exc, exc_type):
-            return category
-    return "error"
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+        # ValueError covers malformed JSON, bytes that are not UTF-8, and
+        # integer literals past the interpreter's int conversion limit.
+        try:
+            return json.loads(handle.read())
+        except ValueError as exc:
+            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _rational_field(value, where: str):
@@ -304,11 +308,9 @@ def _rational_field(value, where: str):
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _int_field(value, where: str, minimum: int) -> int:
+def _int_field(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}: expected an integer")
-    if value < minimum:
-        raise SchemaError(f"{where}: must be >= {minimum}")
     return value
 
 
@@ -316,21 +318,19 @@ def _system_from_json(data) -> LinearSystem:
     if not isinstance(data, dict) or "A" not in data or "b" not in data:
         raise SchemaError('system file must be a JSON object with keys "A" and "b"')
     a, b = data["A"], data["b"]
-    if not isinstance(a, list) or not all(isinstance(row, list) for row in a) or not a:
-        raise SchemaError('"A" must be a non-empty list of rows')
+    if not isinstance(a, list) or not all(isinstance(row, list) for row in a):
+        raise SchemaError('"A" must be a list of rows')
     if not isinstance(b, list):
         raise SchemaError('"b" must be a list')
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise SchemaError('"A" must be square')
-    if len(b) != n:
-        raise SchemaError('"b" must have one entry per row of "A"')
     rows = [
         [_rational_field(x, f"A[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(a)
     ]
     rhs = [_rational_field(x, f"b[{i}]") for i, x in enumerate(b)]
-    return LinearSystem.from_rows(rows, rhs)
+    try:
+        return LinearSystem.from_rows(rows, rhs)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _piece_from_json(index: int, data) -> MeasurePiece:
@@ -343,11 +343,9 @@ def _piece_from_json(index: int, data) -> MeasurePiece:
     try:
         return MeasurePiece(
             extent=_rational_field(data["extent"], f"piece {index}: extent"),
-            codim=_int_field(data["codim"], f"piece {index}: codim", 0),
-            width_points=_int_field(
-                data.get("width_points", 1), f"piece {index}: width_points", 1
-            ),
-            resolution=_int_field(data.get("resolution", 1), f"piece {index}: resolution", 1),
+            codim=_int_field(data["codim"], f"piece {index}: codim"),
+            width_points=_int_field(data.get("width_points", 1), f"piece {index}: width_points"),
+            resolution=_int_field(data.get("resolution", 1), f"piece {index}: resolution"),
         )
     except ValueError as exc:
         raise SchemaError(f"piece {index}: {exc}") from exc

@@ -27,7 +27,7 @@ RationalLike = Union[int, Fraction]
 DEFAULT_DEPTH_LIMIT = 2
 DEFAULT_MIN_POWER = -8
 
-# Safety net for divisors whose grosspowers have infinite parts; see divide().
+# Most quotient terms one divide() call may emit; see divide().
 DIVISION_TERM_BUDGET = 10_000
 
 
@@ -366,12 +366,7 @@ def nesting_depth(value: GrossNumber) -> int:
     return 1 + max(nesting_depth(t.power) for t in value.terms)
 
 
-def divide(
-    c,
-    b,
-    min_power=DEFAULT_MIN_POWER,
-    max_terms: int = DIVISION_TERM_BUDGET,
-) -> DivisionResult:
+def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     """Long division ``c = quotient * b + remainder``.
 
     Each step divides the leading digits and subtracts the resulting
@@ -380,8 +375,8 @@ def divide(
     grosspower would fall below ``min_power`` (inexact); either way the
     recomposition identity holds exactly.
 
-    ``max_terms`` guards against divisors whose grosspowers carry infinite
-    parts, where the cutoff can be unreachable.
+    NonTerminatingDivision ends any division that has emitted
+    DIVISION_TERM_BUDGET quotient terms without reaching the cutoff.
     """
     c = _coerce(c)
     b = _coerce(b)
@@ -395,13 +390,13 @@ def divide(
         k = r.terms[0].power - lead_b.power
         if _compare_terms(k.terms, min_power.terms) < 0:
             return DivisionResult(GrossNumber(tuple(quotient_terms)), r, False)
-        if len(quotient_terms) >= max_terms:
+        if len(quotient_terms) >= DIVISION_TERM_BUDGET:
             raise NonTerminatingDivision(
-                f"quotient exceeded {max_terms} terms before reaching the cutoff"
+                f"quotient exceeded {DIVISION_TERM_BUDGET} terms before reaching the cutoff"
             )
         digit = r.terms[0].digit / lead_b.digit
         quotient_terms.append(GrossTerm(digit, k))
-        r = r - GrossNumber((GrossTerm(digit, k),)) * b
+        r = r + GrossNumber((GrossTerm(-digit, k),)) * b
     # Emitted grosspowers strictly decrease, so the tuple is already normal.
     return DivisionResult(GrossNumber(tuple(quotient_terms)), ZERO, True)
 

@@ -16,9 +16,10 @@ class DivisionByZero(GrossoneError, ZeroDivisionError):
 class NonTerminatingDivision(GrossoneError):
     """Long division ran past its term budget without reaching the cutoff.
 
-    Only possible when grosspowers with infinite parts keep every emitted
-    quotient power above ``min_power``; rational grosspowers always reach
-    the cutoff.
+    The budget (``core.DIVISION_TERM_BUDGET`` quotient terms) ends any
+    division that has not reached its cutoff: one whose cutoff is far
+    below the dividend, such as 1/(G+1) down to G^-20000, as well as one
+    whose grosspowers have infinite parts and never reach it.
     """
 
 

@@ -7,6 +7,7 @@ report whether every step was exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -44,27 +45,27 @@ class Variable(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """A node ``left op right``; each subclass names its operator in ``op``."""
+
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    op = operator.add
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    op = operator.sub
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    op = operator.mul
+
+
+class Div(_Binary):
+    op = operator.truediv
 
 
 @dataclass(frozen=True)
@@ -79,24 +80,22 @@ class _ExprParser(_Cursor):
     def _sum(self) -> Expr:
         node = self._product()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self._product()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            cls = Add if self.advance().kind == "+" else Sub
+            node = _binary(cls, node, self._product())
         return node
 
     def _product(self) -> Expr:
         node = self._unary()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self._unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            cls = Mul if self.advance().kind == "*" else Div
+            node = _binary(cls, node, self._unary())
         return node
 
     def _unary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            return Sub(Constant(Fraction(0)), self._unary())
+            return _binary(Sub, Constant(Fraction(0)), self._unary())
         if tok.kind == "+":
             self.advance()
             return self._unary()
@@ -107,7 +106,10 @@ class _ExprParser(_Cursor):
         if self.peek().kind != "^":
             return base
         self.advance()
-        return PowInt(base, self._exponent())
+        exponent = self._exponent()
+        if isinstance(base, Constant) and (base.value != 0 or exponent >= 0):
+            return Constant(base.value**exponent)
+        return PowInt(base, exponent)
 
     def _exponent(self) -> int:
         sign = self.sign()
@@ -145,29 +147,15 @@ def parse_expr(text: str) -> Expr:
     are folded to exact rationals, so 10^100 becomes a single constant.
     """
     parser = _ExprParser(text)
-    return _fold(parser.complete(parser._sum()))
+    return parser.complete(parser._sum())
 
 
-def _fold(node: Expr) -> Expr:
-    if isinstance(node, (Constant, Grossone, Variable)):
-        return node
-    if isinstance(node, PowInt):
-        base = _fold(node.base)
-        if isinstance(base, Constant) and (base.value != 0 or node.exponent >= 0):
-            return Constant(base.value**node.exponent)
-        return PowInt(base, node.exponent)
-    left = _fold(node.left)
-    right = _fold(node.right)
+def _binary(cls, left: Expr, right: Expr) -> Expr:
+    """``cls(left, right)``, folded to a Constant when both sides are constants."""
     if isinstance(left, Constant) and isinstance(right, Constant):
-        if isinstance(node, Add):
-            return Constant(left.value + right.value)
-        if isinstance(node, Sub):
-            return Constant(left.value - right.value)
-        if isinstance(node, Mul):
-            return Constant(left.value * right.value)
-        if right.value != 0:  # zero-denominator Div is left for eval to report
-            return Constant(left.value / right.value)
-    return type(node)(left, right)
+        if cls is not Div or right.value != 0:  # a zero divisor is left for eval to report
+            return Constant(cls.op(left.value, right.value))
+    return cls(left, right)
 
 
 def contains_variable(node: Expr) -> bool:
@@ -201,16 +189,12 @@ def eval_at(
             return G
         if isinstance(n, Variable):
             return value
-        if isinstance(n, Add):
-            return go(n.left) + go(n.right)
-        if isinstance(n, Sub):
-            return go(n.left) - go(n.right)
-        if isinstance(n, Mul):
-            return go(n.left) * go(n.right)
         if isinstance(n, Div):
             result = divide(go(n.left), go(n.right), min_power)
             exact = exact and result.exact
             return result.quotient
+        if isinstance(n, _Binary):
+            return n.op(go(n.left), go(n.right))
         if isinstance(n, PowInt):
             base = go(n.base)
             if n.exponent >= 0:

@@ -19,7 +19,7 @@ token cursor here also serve ``expr``, whose grammar differs: there
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .core import DEFAULT_DEPTH_LIMIT, ONE, ZERO, GrossNumber
 from .errors import ParseError
@@ -125,7 +125,7 @@ class _Cursor:
 
 
 class _NumeralParser(_Cursor):
-    def __init__(self, text: str, depth_limit: int):
+    def __init__(self, text: str, depth_limit: Optional[int]):
         super().__init__(text)
         self.depth_limit = depth_limit
 
@@ -194,7 +194,7 @@ def parse(text: str, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> GrossNumber:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a signed rational or decimal literal ("-4", "1/3", "2.5") exactly."""
-    parser = _NumeralParser(text, DEFAULT_DEPTH_LIMIT)
+    parser = _NumeralParser(text, None)  # one digit, no grosspower: no depth to check
     sign = parser.sign()
     return parser.complete(parser._digit() * sign)
 

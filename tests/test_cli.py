@@ -50,6 +50,12 @@ def test_eval_decimal_mode(capsys):
     assert out == "~0.3333 + 1*G^-1\nexact\n"
 
 
+def test_eval_decimal_digits_must_be_positive(capsys):
+    code, out, err = run_cli(capsys, "eval", "1", "--decimal", "0")
+    assert (code, out) == (13, "")
+    assert err.startswith("value-error:") and err.count("\n") == 1
+
+
 def test_eval_requires_at_for_variable(capsys):
     code, out, err = run_cli(capsys, "eval", "x + 1")
     assert code == 2 and out == ""
@@ -183,11 +189,19 @@ def test_solve_missing_file(capsys):
         '{"A": [["1", "2"], ["3", "oops"]], "b": ["1", "2"]}',
         '{"A": [[0.25, "2"], ["3", "4"]], "b": ["1", "2"]}',
         '{"b": ["1"]}',
+        '{"A": [], "b": []}',
+        '{"A": [["1", "2"], ["3"]], "b": ["1", "2"]}',
+        pytest.param(
+            '{"A": [[' + "1" * (INT_DIGIT_LIMIT + 1) + ']], "b": [1]}',
+            id="long-integer",
+            marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no int digit limit"),
+        ),
+        pytest.param(b'{"A": [["1"]], "b": ["\xff"]}', id="not-utf-8"),
     ],
 )
 def test_solve_schema_errors(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
-    path.write_text(payload)
+    path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
     code, _, err = run_cli(capsys, "solve", str(path))
     assert code == 10
     assert err.startswith("schema-error:")
@@ -285,6 +299,8 @@ def test_measure_volume_figure(tmp_path, capsys):
         '[{"extent": "1", "codim": -1}]',
         '[{"extent": "1", "codim": 0, "width": 2}]',
         '[{"extent": "1", "codim": 0, "width_points": true}]',
+        '[{"extent": "1", "codim": 0, "width_points": 0}]',
+        '[{"extent": "1", "codim": 0, "resolution": 0}]',
     ],
 )
 def test_measure_schema_errors(tmp_path, capsys, payload):
@@ -337,6 +353,14 @@ def test_repl_errors_do_not_stop_the_loop(capsys, monkeypatch):
     assert out == "4\n"
     categories = [line.split(":")[0] for line in err.strip().splitlines()]
     assert categories == ["syntax-error", "division-by-zero", "syntax-error", "value-error"]
+
+
+def test_repl_rejects_zero_decimal_digits(capsys, monkeypatch):
+    code, out, err = run_repl(
+        capsys, monkeypatch, [":set decimal_digits 0", ":set output decimal", "1/3", ":quit"]
+    )
+    assert code == 0 and out == "~0.333333\n"
+    assert err.startswith("value-error:") and err.count("\n") == 1
 
 
 def test_repl_depth_is_not_a_setting(capsys, monkeypatch):

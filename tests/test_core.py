@@ -16,6 +16,7 @@ from grossone import (
     NonTerminatingDivision,
     NotIntegerValued,
     compare,
+    core,
     divide,
     nesting_depth,
 )
@@ -203,12 +204,22 @@ def test_divide_zero_dividend():
     assert result.quotient == ZERO and result.remainder == ZERO
 
 
-def test_divide_detects_unreachable_cutoff():
+def test_divide_detects_unreachable_cutoff(monkeypatch):
     # G^(16.8*G) / (G+1) emits powers 16.8*G - 1 - m, all above any rational
     # cutoff, so the term budget is the only way out.
+    monkeypatch.setattr(core, "DIVISION_TERM_BUDGET", 50)
     c = gt([(1, gt([(F("16.8"), 1)]))])
     with pytest.raises(NonTerminatingDivision):
-        divide(c, G + 1, -8, max_terms=50)
+        divide(c, G + 1, -8)
+
+
+def test_term_budget_ends_a_division_with_a_far_cutoff(monkeypatch):
+    # Rational grosspowers reach the cutoff G^-100 after 100 quotient terms;
+    # the budget ends the division first.
+    monkeypatch.setattr(core, "DIVISION_TERM_BUDGET", 50)
+    with pytest.raises(NonTerminatingDivision):
+        divide(1, G + 1, -100)
+    assert len(divide(1, G + 1, -49).quotient.terms) == 49
 
 
 # -- part extraction -------------------------------------------------------------
