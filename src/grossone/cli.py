@@ -88,44 +88,39 @@ class _SingleLineParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--min-power",
-        type=int,
-        default=DEFAULT_MIN_POWER,
-        dest="min_power",
-        help="lowest grosspower kept by divisions (default %(default)s)",
-    )
-    common.add_argument(
-        "--depth",
-        type=int,
-        default=DEFAULT_DEPTH_LIMIT,
-        help="grosspower nesting limit (default %(default)s)",
-    )
-    common.add_argument(
-        "--decimal",
-        nargs="?",
-        const=6,
-        default=None,
-        type=int,
-        metavar="DIGITS",
-        help="print digits as decimals instead of exact rationals",
-    )
-
     parser = _SingleLineParser(
         prog="grossone",
         description="Exact arithmetic with finite, infinite, and infinitesimal numerals.",
     )
+    # Each subcommand takes only the flags it reads; the others keep these.
+    parser.set_defaults(min_power=DEFAULT_MIN_POWER, depth=DEFAULT_DEPTH_LIMIT, decimal=None)
+    min_power = _flag(
+        "--min-power",
+        type=int,
+        help=f"lowest grosspower kept by divisions (default {DEFAULT_MIN_POWER})",
+    )
+    depth = _flag(
+        "--depth", type=int, help=f"grosspower nesting limit (default {DEFAULT_DEPTH_LIMIT})"
+    )
+    decimal = _flag(
+        "--decimal",
+        nargs="?",
+        const=6,
+        type=int,
+        metavar="DIGITS",
+        help="print digits as decimals instead of exact rationals",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate an expression")
+    all_flags = [min_power, depth, decimal]
+    p_eval = sub.add_parser("eval", parents=all_flags, help="evaluate an expression")
     p_eval.add_argument("expr", help="expression over x, G, and numeric literals")
     p_eval.add_argument("--at", help="numeral substituted for x", default=None)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve a linear system from JSON")
+    p_solve = sub.add_parser("solve", help="solve a linear system from JSON")
     p_solve.add_argument("path", help='JSON file {"A": [[...]], "b": [...]}')
 
-    p_sum = sub.add_parser("sum", parents=[common], help="sum with an explicit item count")
+    p_sum = sub.add_parser("sum", parents=all_flags, help="sum with an explicit item count")
     p_sum.add_argument("formula", nargs="?", help="partial-sum formula S(x)")
     p_sum.add_argument("--items", required=True, help="numeral item count")
     p_sum.add_argument(
@@ -134,17 +129,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sum 1 - 1 + 1 - ... instead of using a formula",
     )
 
-    p_prob = sub.add_parser("prob", parents=[common], help="event probability favorable/total")
+    p_prob = sub.add_parser("prob", parents=all_flags, help="event probability favorable/total")
     p_prob.add_argument("--favorable", required=True, help="numeral count of favorable events")
     p_prob.add_argument("--total", required=True, help="numeral count of all events")
 
     p_measure = sub.add_parser(
-        "measure", parents=[common], help="total measure of mixed-dimension pieces"
+        "measure", parents=[decimal], help="total measure of mixed-dimension pieces"
     )
     p_measure.add_argument("path", help="JSON file with a list of pieces")
 
-    sub.add_parser("repl", parents=[common], help="interactive read-eval-print loop")
+    sub.add_parser("repl", parents=[min_power, decimal], help="interactive read-eval-print loop")
     return parser
+
+
+def _flag(*names: str, **options) -> argparse.ArgumentParser:
+    """A parent parser with one flag; left unset, the flag keeps the top-level default."""
+    holder = argparse.ArgumentParser(add_help=False)
+    holder.add_argument(*names, default=argparse.SUPPRESS, **options)
+    return holder
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -292,10 +294,11 @@ def _repl_directive(line: str, cfg: CliConfig) -> None:
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         # ValueError covers malformed JSON, bytes that are not UTF-8, and
-        # integer literals past the interpreter's int conversion limit.
+        # integer literals past the interpreter's int conversion limit;
+        # RecursionError, arrays or objects nested too deeply to decode.
         try:
             return json.loads(handle.read())
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 

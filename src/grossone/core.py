@@ -9,10 +9,10 @@ so two values are equal exactly when their term tuples are identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
     DepthExceeded,
@@ -31,12 +31,23 @@ DEFAULT_MIN_POWER = -8
 DIVISION_TERM_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class GrossTerm:
+class GrossTerm(NamedTuple):
     """One addend ``digit * G**power`` of a numeral."""
 
     digit: Fraction
     power: "GrossNumber"
+
+
+def _ordering(holds):
+    """A rich comparison: ``holds(compare(self, other), 0)``."""
+
+    def method(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return other
+        return holds(_compare_terms(self.terms, other.terms), 0)
+
+    return method
 
 
 class GrossNumber:
@@ -51,7 +62,7 @@ class GrossNumber:
     def __init__(self, terms: Tuple[GrossTerm, ...] = ()):
         # Callers must pass an already-normalized tuple; use from_terms for
         # arbitrary input.
-        object.__setattr__(self, "terms", terms)
+        self.terms = terms
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "GrossNumber":
@@ -236,29 +247,10 @@ class GrossNumber:
             return other
         return self.terms == other.terms
 
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
-        return _compare_terms(self.terms, other.terms) < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
-        return _compare_terms(self.terms, other.terms) <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
-        return _compare_terms(self.terms, other.terms) > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return other
-        return _compare_terms(self.terms, other.terms) >= 0
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     def __hash__(self):
         try:
@@ -271,7 +263,7 @@ class GrossNumber:
         if not terms or (len(terms) == 1 and not terms[0].power.terms):
             self._hash = hash(self.finite_part())
         else:
-            self._hash = hash(tuple((t.digit, t.power) for t in terms))
+            self._hash = hash(terms)
         return self._hash
 
     def __bool__(self):
@@ -286,13 +278,16 @@ class GrossNumber:
         return f"GrossNumber<{self}>"
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(NamedTuple):
     """Quotient and exact remainder of grossone long division."""
 
     quotient: GrossNumber
     remainder: GrossNumber
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """True when the division left no remainder."""
+        return not self.remainder.terms
 
 
 ZERO = GrossNumber()
@@ -389,7 +384,7 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     while r.terms:
         k = r.terms[0].power - lead_b.power
         if _compare_terms(k.terms, min_power.terms) < 0:
-            return DivisionResult(GrossNumber(tuple(quotient_terms)), r, False)
+            return DivisionResult(GrossNumber(tuple(quotient_terms)), r)
         if len(quotient_terms) >= DIVISION_TERM_BUDGET:
             raise NonTerminatingDivision(
                 f"quotient exceeded {DIVISION_TERM_BUDGET} terms before reaching the cutoff"
@@ -398,7 +393,7 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
         quotient_terms.append(GrossTerm(digit, k))
         r = r + GrossNumber((GrossTerm(-digit, k),)) * b
     # Emitted grosspowers strictly decrease, so the tuple is already normal.
-    return DivisionResult(GrossNumber(tuple(quotient_terms)), ZERO, True)
+    return DivisionResult(GrossNumber(tuple(quotient_terms)), ZERO)
 
 
 def _is_nonnegative_integer(power: GrossNumber) -> bool:

@@ -74,42 +74,55 @@ class PowInt(Expr):
     exponent: int
 
 
+_OPERATORS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_ZERO = Constant(Fraction(0))  # unary minus is 0 - operand
+
+
 class _ExprParser(_Cursor):
-    """Recursive descent; precedence ^ > unary - > * / > + -, left associative."""
+    """Recursive descent; precedence ^ > unary - > * / > + -, left associative.
 
-    def _sum(self) -> Expr:
-        node = self._product()
+    The methods return (node, depth) pairs.  The depth counts the parentheses,
+    minus signs and operators on the deepest path, and the cursor caps it at
+    MAX_NESTING, so neither these methods nor eval_at recurse past it.
+    """
+
+    def _sum(self) -> Tuple[Expr, int]:
+        left = self._product()
         while self.peek().kind in ("+", "-"):
-            cls = Add if self.advance().kind == "+" else Sub
-            node = _binary(cls, node, self._product())
-        return node
+            left = self._join(self.advance(), left, self._product())
+        return left
 
-    def _product(self) -> Expr:
-        node = self._unary()
+    def _product(self) -> Tuple[Expr, int]:
+        left = self._factor()
         while self.peek().kind in ("*", "/"):
-            cls = Mul if self.advance().kind == "*" else Div
-            node = _binary(cls, node, self._unary())
-        return node
+            left = self._join(self.advance(), left, self._factor())
+        return left
 
-    def _unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return _binary(Sub, Constant(Fraction(0)), self._unary())
-        if tok.kind == "+":
-            self.advance()
-            return self._unary()
-        return self._power()
-
-    def _power(self) -> Expr:
-        base = self._atom()
-        if self.peek().kind != "^":
-            return base
-        self.advance()
-        exponent = self._exponent()
-        if isinstance(base, Constant) and (base.value != 0 or exponent >= 0):
-            return Constant(base.value**exponent)
-        return PowInt(base, exponent)
+    def _factor(self) -> Tuple[Expr, int]:
+        """[signs] ( "(" sum ")" | atom ) [ "^" exponent ]; "-x^2" is -(x^2)."""
+        minus = []
+        tok = self.advance()
+        while tok.kind in ("+", "-"):
+            if tok.kind == "-":
+                minus.append(tok)
+            tok = self.advance()
+        if tok.kind == "(":
+            self.enter(tok)
+            node, depth = self._sum()
+            self.leave()
+            depth += 1
+        else:
+            node, depth = _atom(tok), 0
+        if self.peek().kind == "^":
+            depth = self.nest(depth + 1, self.advance())
+            exponent = self._exponent()
+            if isinstance(node, Constant) and (node.value != 0 or exponent >= 0):
+                node = Constant(node.value**exponent)
+            else:
+                node = PowInt(node, exponent)
+        for tok in reversed(minus):
+            node, depth = self._join(tok, (_ZERO, 0), (node, depth))
+        return node, depth
 
     def _exponent(self) -> int:
         sign = self.sign()
@@ -122,22 +135,27 @@ class _ExprParser(_Cursor):
         self.advance()
         return sign * tok.value
 
-    def _atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind in ("INT", "DEC"):
-            return Constant(Fraction(tok.value))
-        if tok.kind == "G":
-            return Grossone()
-        if tok.kind == "VAR":
-            return Variable()
-        if tok.kind == "(":
-            node = self._sum()
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ParseError("unbalanced parenthesis", closing.pos)
-            self.advance()
-            return node
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
+    def _join(self, tok, left, right) -> Tuple[Expr, int]:
+        """``left tok right`` one level below its deeper side, folded to a
+        Constant when both sides are constants."""
+        cls = _OPERATORS[tok.kind]
+        (a, a_depth), (b, b_depth) = left, right
+        depth = self.nest(max(a_depth, b_depth) + 1, tok)
+        if isinstance(a, Constant) and isinstance(b, Constant):
+            if cls is not Div or b.value != 0:  # a zero divisor is left for eval to report
+                return Constant(cls.op(a.value, b.value)), depth
+        return cls(a, b), depth
+
+
+def _atom(tok) -> Expr:
+    """The leaf node for a literal, G or x token."""
+    if tok.kind in ("INT", "DEC"):
+        return Constant(Fraction(tok.value))
+    if tok.kind == "G":
+        return Grossone()
+    if tok.kind == "VAR":
+        return Variable()
+    raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
 
 def parse_expr(text: str) -> Expr:
@@ -147,15 +165,8 @@ def parse_expr(text: str) -> Expr:
     are folded to exact rationals, so 10^100 becomes a single constant.
     """
     parser = _ExprParser(text)
-    return parser.complete(parser._sum())
-
-
-def _binary(cls, left: Expr, right: Expr) -> Expr:
-    """``cls(left, right)``, folded to a Constant when both sides are constants."""
-    if isinstance(left, Constant) and isinstance(right, Constant):
-        if cls is not Div or right.value != 0:  # a zero divisor is left for eval to report
-            return Constant(cls.op(left.value, right.value))
-    return cls(left, right)
+    node, _ = parser._sum()
+    return parser.complete(node)
 
 
 def contains_variable(node: Expr) -> bool:

@@ -19,26 +19,30 @@ token cursor here also serve ``expr``, whose grammar differs: there
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .core import DEFAULT_DEPTH_LIMIT, ONE, ZERO, GrossNumber
 from .errors import ParseError
+
+# Deepest nesting either grammar accepts.  A numeral nests only through
+# parenthesized grosspowers; an expression one level per parenthesis, minus
+# sign or operator on a path of its tree.  The parsers, printers and
+# evaluators recurse at most three frames per level, which keeps them inside
+# the interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
 
 _PUNCT = "+-*/^()"
 _DIGITS = "0123456789"
 _NAMES = {"G": "G", "x": "VAR"}
 
 
-class _Token:
+class _Token(NamedTuple):
     """One lexeme; ``value`` is the converted literal for INT (int) and DEC (Fraction)."""
 
-    __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value=None):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        self.value = value
+    kind: str
+    text: str
+    pos: int
+    value: object = None
 
 
 def _scan(text: str) -> List[_Token]:
@@ -93,6 +97,7 @@ class _Cursor:
     def __init__(self, text: str):
         self.tokens = _scan(text)
         self.i = 0
+        self.open = 0  # parentheses open at the cursor
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -107,6 +112,23 @@ class _Cursor:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return self.advance()
+
+    def nest(self, depth: int, tok: _Token) -> int:
+        """``depth``, the levels below the open parentheses; a ParseError at
+        ``tok`` when the two together pass MAX_NESTING."""
+        if self.open + depth > MAX_NESTING:
+            raise ParseError(f"input nests deeper than {MAX_NESTING} levels", tok.pos)
+        return depth
+
+    def enter(self, tok: _Token) -> None:
+        """One nesting level deeper, at the consumed "(" token ``tok``."""
+        self.open += 1
+        self.nest(0, tok)
+
+    def leave(self) -> None:
+        """Consume the ")" that closes the innermost open "("."""
+        self.expect(")")
+        self.open -= 1
 
     def sign(self) -> int:
         """Consume an optional "+" or "-"; returns +1 or -1."""
@@ -171,9 +193,9 @@ class _NumeralParser(_Cursor):
             return ONE
         self.advance()
         if self.peek().kind == "(":
-            self.advance()
+            self.enter(self.advance())
             inner = self.parse_number()
-            self.expect(")")
+            self.leave()
             return inner
         sign = self.sign()
         tok = self.peek()

@@ -380,6 +380,56 @@ def test_argparse_errors_are_single_line(capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage-error:") and err.count("\n") == 1
+    # A subcommand takes only the flags it reads.
+    for command, flag in [
+        ("solve", "--min-power"),
+        ("solve", "--depth"),
+        ("solve", "--decimal"),
+        ("measure", "--min-power"),
+        ("measure", "--depth"),
+        ("repl", "--depth"),
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "3"] + ([] if command == "repl" else ["f.json"]))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage-error:") and err.count("\n") == 1
+
+
+# -- input nested too deeply --------------------------------------------------------
+
+_DEEP_PARENS = "(" * 5000 + "1" + ")" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv,code,category",
+    [
+        pytest.param(["solve", "NESTED"], 10, "schema-error", id="solve-json"),
+        pytest.param(["measure", "NESTED"], 10, "schema-error", id="measure-json"),
+        pytest.param(["eval", _DEEP_PARENS], 3, "syntax-error", id="eval-parentheses"),
+        pytest.param(["eval", "--", "-" * 5000 + "1"], 3, "syntax-error", id="eval-minus-run"),
+        pytest.param(
+            ["eval", "--at", "1", "+".join(["x"] * 5000)], 3, "syntax-error", id="eval-sum-chain"
+        ),
+        pytest.param(["eval", "*".join(["G"] * 3000)], 3, "syntax-error", id="eval-product-chain"),
+        pytest.param(
+            ["sum", "--alternating", "--items", "G^(" * 400 + "1" + ")" * 400],
+            3,
+            "syntax-error",
+            id="sum-nested-grosspowers",
+        ),
+        pytest.param(["repl"], 0, "syntax-error", id="repl-line"),
+    ],
+)
+def test_deep_input_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, code, category):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    # The repl reads the deep line, then one that must still evaluate.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_DEEP_PARENS + "\n1 + 1\n"))
+    got, out, err = run_cli(capsys, *[str(nested) if arg == "NESTED" else arg for arg in argv])
+    assert got == code
+    assert err.startswith(f"{category}:") and err.count("\n") == 1
+    assert out == ("2\n" if argv == ["repl"] else "")
 
 
 # -- module entry point ---------------------------------------------------------------

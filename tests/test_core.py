@@ -39,6 +39,14 @@ def test_normalize_sorts_by_grosspower():
     assert value.terms[1] == GrossTerm(F("7.1"), gn(12))
 
 
+def test_terms_are_digit_power_pairs():
+    value = gt([(F("304.21"), gt([(F("16.8"), 1)])), (F("-7.1"), 12)])
+    for term in value.terms:
+        assert tuple(term) == (term.digit, term.power)
+    assert not value.is_rational()
+    assert hash(value) == hash(tuple((t.digit, t.power) for t in value.terms))
+
+
 def test_normalize_idempotent():
     rng = random.Random(11)
     for _ in range(50):

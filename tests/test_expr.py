@@ -20,6 +20,7 @@ from grossone import (
     parse_expr,
 )
 from grossone.expr import Add, Constant, Div, Grossone, Mul, PowInt, Sub, Variable
+from grossone.notation import MAX_NESTING
 from support import gn, random_rational
 
 H_TEXT = "((x^2 + 2*x)/x - 2)*(34/x)"
@@ -72,6 +73,21 @@ def test_precedence_and_associativity():
 def test_parse_expr_rejects(text):
     with pytest.raises(ParseError):
         parse_expr(text)
+
+
+def test_nesting_limit_is_a_positioned_parse_error():
+    assert eval_at(parse_expr("+".join(["x"] * 200)), ONE) == (gn(200), True)
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_expr(deepest) == Variable()
+    too_deep = [
+        ("(" + deepest + ")", MAX_NESTING),  # the first "(" past the limit
+        ("-" * (MAX_NESTING + 1) + "x", 0),  # signs apply from the operand outward
+        ("+".join(["x"] * (MAX_NESTING + 2)), 2 * MAX_NESTING + 1),
+    ]
+    for text, position in too_deep:
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.position == position
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -20,6 +20,7 @@ from grossone import (
     print_decimal,
 )
 from grossone.expr import Constant, Div, Grossone, PowInt
+from grossone.notation import MAX_NESTING
 from support import INT_DIGIT_LIMIT, gn, gt, random_grossone
 
 MIXED_SUM_CANONICAL = "30421/100*G^(84/5*G) - 71/10*G^12 + 623/100*G^3 + 543/10 + 15*G^(-31/5*G)"
@@ -106,6 +107,17 @@ def test_over_long_literals_are_positioned_parse_errors(parser, text, position):
     with pytest.raises(ParseError) as err:
         parser(text)
     assert err.value.position == position
+
+
+def test_wide_and_deep_numerals_round_trip():
+    wide = (G + 1) ** 200
+    assert parse(print_canonical(wide)) == wide
+    deepest = "G^(" * MAX_NESTING + "2" + ")" * MAX_NESTING
+    value = parse(deepest, MAX_NESTING)
+    assert parse(print_canonical(value), MAX_NESTING) == value
+    with pytest.raises(ParseError) as err:
+        parse("G^(" + deepest + ")", MAX_NESTING + 1)
+    assert err.value.position == 3 * MAX_NESTING + 2  # the first "(" past the limit
 
 
 def test_parse_depth_limit():

@@ -194,6 +194,9 @@ def test_exact_division_inverts_multiplication(a, b):
         return
     product = a * b
     result = divide(product, b, -30)
+    assert result.exact == result.remainder.is_zero()
+    q, r = result
+    assert (q, r) == (result.quotient, result.remainder)
     if result.exact:  # division of a true multiple terminates at the factor
         assert result.quotient == a
 
