@@ -8,11 +8,10 @@ an infinitesimal slab volume instead of the classical zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, divide
+from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, Record, divide
 from .errors import InexactProbability
 
 
@@ -58,8 +57,7 @@ def event_probability(
     return result.quotient
 
 
-@dataclass(frozen=True)
-class MeasurePiece:
+class MeasurePiece(Record):
     """A part of a figure that is flat in ``codim`` of its dimensions.
 
     ``extent`` is the classical measure along the full dimensions; each
@@ -67,21 +65,22 @@ class MeasurePiece:
     points per unit.
     """
 
-    extent: Fraction
-    codim: int
-    width_points: int = 1
-    resolution: int = 1
+    __slots__ = __match_args__ = ("extent", "codim", "width_points", "resolution")
 
-    def __post_init__(self):
-        object.__setattr__(self, "extent", Fraction(self.extent))
-        if self.extent < 0:
+    def __init__(self, extent: Fraction, codim: int, width_points: int = 1, resolution: int = 1):
+        extent = Fraction(extent)
+        if extent < 0:
             raise ValueError("extent must be nonnegative")
-        if self.codim < 0:
+        if codim < 0:
             raise ValueError("codim must be nonnegative")
-        if self.width_points < 1:
+        if width_points < 1:
             raise ValueError("width_points must be >= 1")
-        if self.resolution < 1:
+        if resolution < 1:
             raise ValueError("resolution must be >= 1")
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "width_points", width_points)
+        object.__setattr__(self, "resolution", resolution)
 
 
 def piece_measure(piece: MeasurePiece) -> GrossNumber:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .applications import MeasurePiece, event_probability, total_measure
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .expr import contains_variable, eval_alternating, eval_at, parse_expr
 from .linsolve import LinearSystem, solve_grossone
-from .notation import parse, parse_rational, print_canonical, print_decimal
+from .notation import _decimal_digits, parse, parse_rational, print_canonical, print_decimal
 
 _ERROR_TABLE = [
     (ParseError, "syntax-error", 3),
@@ -48,36 +47,6 @@ _ERROR_TABLE = [
     (ValueError, "value-error", 13),
     (InexactSolution, "inexact-solution", 14),
 ]
-
-
-@dataclass
-class CliConfig:
-    min_power: int
-    depth_limit: int
-    output_mode: str = "canonical"  # or "decimal"
-    decimal_digits: int = 6
-
-    def render(self, value: GrossNumber) -> str:
-        if self.output_mode == "decimal":
-            return print_decimal(value, self.decimal_digits)
-        return print_canonical(value)
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    if args.depth < 1:
-        raise ValueError("--depth must be >= 1")
-    cfg = CliConfig(min_power=args.min_power, depth_limit=args.depth)
-    if args.decimal is not None:
-        cfg.output_mode = "decimal"
-        cfg.decimal_digits = _decimal_digits(args.decimal)
-    return cfg
-
-
-def _decimal_digits(digits: int) -> int:
-    """The one check on a digit count, for --decimal and :set decimal_digits."""
-    if digits < 1:
-        raise ValueError("decimal digits must be >= 1")
-    return digits
 
 
 class _SingleLineParser(argparse.ArgumentParser):
@@ -153,7 +122,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        if args.depth < 1:
+            raise ValueError("--depth must be >= 1")
+        if args.decimal is not None:
+            _decimal_digits(args.decimal)
         handler = {
             "eval": _cmd_eval,
             "solve": _cmd_solve,
@@ -162,7 +134,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "measure": _cmd_measure,
             "repl": _cmd_repl,
         }[args.command]
-        return handler(args, cfg)
+        return handler(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes by _ERROR_TABLE
         category, code = _error_kind(exc)
         if code is None:
@@ -183,52 +155,59 @@ def entry() -> None:
     sys.exit(main())
 
 
-def _cmd_eval(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     tree = parse_expr(args.expr)
     if contains_variable(tree) and args.at is None:
         print("usage-error: expression contains 'x'; provide --at NUMERAL", file=sys.stderr)
         return 2
-    point = GrossNumber.from_rational(0) if args.at is None else parse(args.at, cfg.depth_limit)
-    return _print_result(cfg, *eval_at(tree, point, cfg.min_power))
+    point = GrossNumber.from_rational(0) if args.at is None else parse(args.at, args.depth)
+    return _print_result(args, *eval_at(tree, point, args.min_power))
 
 
-def _cmd_sum(args: argparse.Namespace, cfg: CliConfig) -> int:
-    items = parse(args.items, cfg.depth_limit)
+def _cmd_sum(args: argparse.Namespace) -> int:
+    items = parse(args.items, args.depth)
     if args.alternating:
         if args.formula is not None:
             print("usage-error: --alternating does not take a formula", file=sys.stderr)
             return 2
-        return _print_result(cfg, eval_alternating(items), True)
+        return _print_result(args, eval_alternating(items), True)
     if args.formula is None:
         print("usage-error: provide a partial-sum formula or --alternating", file=sys.stderr)
         return 2
-    return _print_result(cfg, *eval_at(parse_expr(args.formula), items, cfg.min_power))
+    return _print_result(args, *eval_at(parse_expr(args.formula), items, args.min_power))
 
 
-def _print_result(cfg: CliConfig, value: GrossNumber, exact: bool) -> int:
+def _render(args: argparse.Namespace, value: GrossNumber) -> str:
+    """Exact canonical text, or decimal digits when ``args.decimal`` holds a count."""
+    if args.decimal is None:
+        return print_canonical(value)
+    return print_decimal(value, args.decimal)
+
+
+def _print_result(args: argparse.Namespace, value: GrossNumber, exact: bool) -> int:
     """The value, then "exact" or "inexact" on its own line; exit code 0."""
-    print(cfg.render(value))
+    print(_render(args, value))
     print("exact" if exact else "inexact")
     return 0
 
 
-def _cmd_prob(args: argparse.Namespace, cfg: CliConfig) -> int:
-    favorable = parse(args.favorable, cfg.depth_limit)
-    total = parse(args.total, cfg.depth_limit)
-    print(cfg.render(event_probability(favorable, total, cfg.min_power)))
+def _cmd_prob(args: argparse.Namespace) -> int:
+    favorable = parse(args.favorable, args.depth)
+    total = parse(args.total, args.depth)
+    print(_render(args, event_probability(favorable, total, args.min_power)))
     return 0
 
 
-def _cmd_measure(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_measure(args: argparse.Namespace) -> int:
     data = _load_json(args.path)
     if not isinstance(data, list):
         raise SchemaError("measure input must be a JSON list of pieces")
     pieces = [_piece_from_json(i, entry) for i, entry in enumerate(data)]
-    print(cfg.render(total_measure(pieces)))
+    print(_render(args, total_measure(pieces)))
     return 0
 
 
-def _cmd_solve(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     system = _system_from_json(_load_json(args.path))
     report = solve_grossone(system)
     lead = report.residual_leading_power
@@ -243,7 +222,8 @@ def _cmd_solve(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
+def _cmd_repl(args: argparse.Namespace) -> int:
+    args.digits = args.decimal or 6  # the decimal_digits setting, kept in canonical output
     interactive = sys.stdin.isatty()
     while True:
         if interactive:
@@ -258,33 +238,34 @@ def _cmd_repl(args: argparse.Namespace, cfg: CliConfig) -> int:
         if line == ":quit":
             return 0
         if line.startswith(":"):
-            _repl_directive(line, cfg)
+            _repl_directive(line, args)
             continue
         try:
             tree = parse_expr(line)
             if contains_variable(tree):
                 raise ParseError("the repl evaluates closed expressions; 'x' is not bound", 0)
-            value, exact = eval_at(tree, GrossNumber.from_rational(0), cfg.min_power)
+            value, exact = eval_at(tree, GrossNumber.from_rational(0), args.min_power)
             suffix = "" if exact else "  (inexact)"
-            print(f"{cfg.render(value)}{suffix}")
+            print(f"{_render(args, value)}{suffix}")
         except (GrossoneError, ValueError) as exc:
             print(f"{_error_kind(exc)[0]}: {exc}", file=sys.stderr)
 
 
-def _repl_directive(line: str, cfg: CliConfig) -> None:
+def _repl_directive(line: str, args: argparse.Namespace) -> None:
     parts = line.split()
     try:
         if parts[0] != ":set" or len(parts) != 3:
             raise ValueError(f"unknown directive {line!r}; try :set KEY VALUE or :quit")
         key, value = parts[1], parts[2]
         if key == "min_power":
-            cfg.min_power = int(value)
+            args.min_power = int(value)
         elif key == "output":
             if value not in ("canonical", "decimal"):
                 raise ValueError("output must be 'canonical' or 'decimal'")
-            cfg.output_mode = value
+            args.decimal = args.digits if value == "decimal" else None
         elif key == "decimal_digits":
-            cfg.decimal_digits = _decimal_digits(int(value))
+            args.digits = _decimal_digits(int(value))
+            args.decimal = None if args.decimal is None else args.digits
         else:
             raise ValueError(f"unknown setting {key!r}")
     except ValueError as exc:

@@ -38,6 +38,34 @@ class GrossTerm(NamedTuple):
     power: "GrossNumber"
 
 
+class Record:
+    """An immutable record that is not a tuple: fields in ``__slots__`` and
+    ``__match_args__``, set once by ``__init__`` through ``object.__setattr__``."""
+
+    __slots__ = __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _ordering(holds):
     """A rich comparison: ``holds(compare(self, other), 0)``."""
 
@@ -303,6 +331,17 @@ def _coerce(value) -> "GrossNumber":
     return NotImplemented
 
 
+def _operand(value) -> "GrossNumber":
+    """_coerce for the module functions: a TypeError where operators defer."""
+    coerced = _coerce(value)
+    if coerced is NotImplemented:
+        raise TypeError(
+            f"unsupported operand type {type(value).__name__!r}; "
+            "expected GrossNumber, int or Fraction"
+        )
+    return coerced
+
+
 def _normalize(pairs) -> Tuple[GrossTerm, ...]:
     """Sum the (Fraction digit, grosspower) pairs into a normalized tuple."""
     groups: dict = {}  # grosspower -> digit sum
@@ -324,7 +363,7 @@ def compare(a, b) -> int:
     that differs decides.  Grosspowers are compared recursively the same
     way, bottoming out at plain rationals.
     """
-    return _compare_terms(_coerce(a).terms, _coerce(b).terms)
+    return _compare_terms(_operand(a).terms, _operand(b).terms)
 
 
 def _compare_terms(a, b) -> int:
@@ -373,9 +412,9 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     NonTerminatingDivision ends any division that has emitted
     DIVISION_TERM_BUDGET quotient terms without reaching the cutoff.
     """
-    c = _coerce(c)
-    b = _coerce(b)
-    min_power = _coerce(min_power)
+    c = _operand(c)
+    b = _operand(b)
+    min_power = _operand(min_power)
     if not b.terms:
         raise DivisionByZero("division by zero")
     lead_b = b.terms[0]

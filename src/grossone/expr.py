@@ -8,70 +8,71 @@ report whether every step was exact.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .core import (
-    DEFAULT_MIN_POWER,
-    G,
-    ONE,
-    GrossNumber,
-    divide,
-)
+from .core import DEFAULT_MIN_POWER, G, ONE, GrossNumber, Record, divide
 from .errors import InexactSum, ParseError
 from .notation import _Cursor
 
 
-class Expr:
+class Expr(Record):
     """Base node; concrete nodes below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Constant(Expr):
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Grossone(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Variable(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _Binary(Expr):
     """A node ``left op right``; each subclass names its operator in ``op``."""
 
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class Add(_Binary):
+    __slots__ = ()
     op = operator.add
 
 
 class Sub(_Binary):
+    __slots__ = ()
     op = operator.sub
 
 
 class Mul(_Binary):
+    __slots__ = ()
     op = operator.mul
 
 
 class Div(_Binary):
+    __slots__ = ()
     op = operator.truediv
 
 
-@dataclass(frozen=True)
 class PowInt(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 _OPERATORS = {"+": Add, "-": Sub, "*": Mul, "/": Div}

@@ -9,22 +9,23 @@ partial pivoting is included as an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from .core import G, ZERO, GrossNumber, divide
+from .core import G, ZERO, GrossNumber, Record, divide
 from .errors import InexactSolution, SingularSystem
 
 _INV_G = G**-1
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Square rational system A x = b."""
 
-    a: Tuple[Tuple[Fraction, ...], ...]
-    b: Tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("a", "b")
+
+    def __init__(self, a: Tuple[Tuple[Fraction, ...], ...], b: Tuple[Fraction, ...]):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def from_rows(cls, a: Iterable[Iterable], b: Iterable) -> "LinearSystem":
@@ -41,8 +42,7 @@ class LinearSystem:
         return len(self.b)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Outcome of the injection solver.
 
     ``residual_leading_power`` is the largest grosspower appearing in
@@ -50,11 +50,18 @@ class SolveReport:
     solve always has a zero or purely infinitesimal residual.
     """
 
-    solution: Tuple[GrossNumber, ...]
-    finite_solution: Tuple[Fraction, ...]
-    injected_pivots: int
-    injected_rows: Tuple[int, ...]
-    residual_leading_power: Optional[GrossNumber]
+    __slots__ = __match_args__ = (
+        "solution", "finite_solution", "injected_pivots", "injected_rows", "residual_leading_power"
+    )
+
+    def __init__(
+        self, solution, finite_solution, injected_pivots, injected_rows, residual_leading_power
+    ):
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "finite_solution", finite_solution)
+        object.__setattr__(self, "injected_pivots", injected_pivots)
+        object.__setattr__(self, "injected_rows", injected_rows)
+        object.__setattr__(self, "residual_leading_power", residual_leading_power)
 
 
 def solve_grossone(system: LinearSystem) -> SolveReport:

@@ -31,6 +31,11 @@ from .errors import ParseError
 # the interpreter's default recursion limit of 1000.
 MAX_NESTING = 200
 
+# Most decimal places print_decimal shows.  It prints a fraction part that
+# many digits long, so past the interpreter's default limit on int-to-string
+# conversion it would fail, and only after building 10**digits.
+MAX_DECIMAL_DIGITS = 4300
+
 _PUNCT = "+-*/^()"
 _DIGITS = "0123456789"
 _NAMES = {"G": "G", "x": "VAR"}
@@ -48,6 +53,7 @@ class _Token(NamedTuple):
 def _scan(text: str) -> List[_Token]:
     """Tokens ending with EOF.  Digits are ASCII only ("²" is not one), and a
     literal past the interpreter's int conversion limit is a ParseError."""
+    new = tuple.__new__  # half the cost of _Token's generated __new__
     tokens = []
     i = 0
     n = len(text)
@@ -70,10 +76,10 @@ def _scan(text: str) -> List[_Token]:
                 value = int(literal) if kind == "INT" else Fraction(literal)
             except ValueError:
                 raise ParseError(f"numeric literal too long ({j - i} characters)", i) from None
-            tokens.append(_Token(kind, literal, i, value))
+            tokens.append(new(_Token, (kind, literal, i, value)))
             i = j
         elif ch in _PUNCT:
-            tokens.append(_Token(ch, ch, i))
+            tokens.append(new(_Token, (ch, ch, i, None)))
             i += 1
         elif ch.isalpha() or ch == "_":
             j = i + 1
@@ -83,11 +89,11 @@ def _scan(text: str) -> List[_Token]:
             kind = _NAMES.get(name)
             if kind is None:
                 raise ParseError(f"unknown name {name!r}; only 'x' and 'G' are defined", i)
-            tokens.append(_Token(kind, name, i))
+            tokens.append(new(_Token, (kind, name, i, None)))
             i = j
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", n))
+    tokens.append(new(_Token, ("EOF", "", n, None)))
     return tokens
 
 
@@ -241,9 +247,15 @@ def print_decimal(value: GrossNumber, digits: int = 6) -> str:
     otherwise rounded half-even and prefixed with ``~``.  Does not
     round-trip in general.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    _decimal_digits(digits)
     return _render(value, lambda q: _decimal_string(q, digits))
+
+
+def _decimal_digits(digits: int) -> int:
+    """The one check on a digit count: print_decimal's and the CLI's."""
+    if not 1 <= digits <= MAX_DECIMAL_DIGITS:
+        raise ValueError(f"decimal digits must be between 1 and {MAX_DECIMAL_DIGITS}")
+    return digits
 
 
 def _render(value: GrossNumber, fmt: Callable[[Fraction], str]) -> str:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
+
+import pytest
 
 from grossone import GrossNumber, LinearSystem
 
@@ -13,6 +17,21 @@ gt = GrossNumber.from_terms
 
 # Longest decimal integer the interpreter converts; 0 where it has no limit.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def assert_record_contract(record, equal) -> None:
+    """``record`` is an immutable record equal to ``equal``, which was built
+    separately: equal hashes, pickle and deepcopy round trips to the same
+    class, and no field can be assigned or deleted: each try leaves it equal."""
+    assert record == equal and hash(record) == hash(equal)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record
+    for name in type(record).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert record == equal
 
 
 def random_rational(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:

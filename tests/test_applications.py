@@ -17,7 +17,7 @@ from grossone import (
     points_on_line,
     total_measure,
 )
-from support import gn
+from support import assert_record_contract, gn
 
 
 def test_points_in_unit_interval_by_resolution():
@@ -149,11 +149,24 @@ def test_finite_part_is_the_classical_measure():
 
 
 def test_piece_validation():
-    with pytest.raises(ValueError):
-        MeasurePiece(-1, 0)
-    with pytest.raises(ValueError):
-        MeasurePiece(1, -1)
-    with pytest.raises(ValueError):
-        MeasurePiece(1, 0, 0)
-    with pytest.raises(ValueError):
-        MeasurePiece(1, 0, 1, 0)
+    for args, message in [
+        ((-1, 0), "extent must be nonnegative"),
+        ((1, -1), "codim must be nonnegative"),
+        ((1, 0, 0), "width_points must be >= 1"),
+        ((1, 0, 1, 0), "resolution must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            MeasurePiece(*args)
+
+
+def test_piece_is_an_immutable_record():
+    piece = MeasurePiece(1, 2)
+    assert piece == MeasurePiece(extent=1, codim=2, width_points=1, resolution=1)
+    assert type(piece.extent) is F and MeasurePiece("3/2", 0).extent == F(3, 2)
+    assert_record_contract(
+        MeasurePiece(F(3, 2), 1, 3), MeasurePiece("1.5", codim=1, width_points=3)
+    )
+    assert repr(MeasurePiece(F(3, 2), 1, 3)) == (
+        "MeasurePiece(extent=Fraction(3, 2), codim=1, width_points=3, resolution=1)"
+    )
+    assert MeasurePiece(1, 2) != MeasurePiece(1, 2, resolution=2)

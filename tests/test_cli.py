@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -54,6 +55,24 @@ def test_eval_decimal_digits_must_be_positive(capsys):
     code, out, err = run_cli(capsys, "eval", "1", "--decimal", "0")
     assert (code, out) == (13, "")
     assert err.startswith("value-error:") and err.count("\n") == 1
+
+
+_DIGITS_RANGE = "value-error: decimal digits must be between 1 and 4300\n"
+
+
+@pytest.mark.parametrize("digits", ["100000000", "5000", "4301"])
+def test_eval_decimal_digits_are_bounded(capsys, digits):
+    # Checked before any work: 10**digits is never built.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "1/3", "--decimal", digits)
+    assert (code, out, err) == (13, "", _DIGITS_RANGE)
+    assert time.perf_counter() - start < 5
+
+
+def test_eval_decimal_digits_at_the_bound(capsys):
+    code, out, err = run_cli(capsys, "eval", "1/3", "--decimal", "4300")
+    assert (code, err) == (0, "")
+    assert out == "~0." + "3" * 4300 + "\nexact\n"
 
 
 def test_eval_requires_at_for_variable(capsys):
@@ -363,6 +382,17 @@ def test_repl_rejects_zero_decimal_digits(capsys, monkeypatch):
     assert err.startswith("value-error:") and err.count("\n") == 1
 
 
+def test_repl_bounds_decimal_digits(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run_repl(
+        capsys,
+        monkeypatch,
+        [":set decimal_digits 100000000", ":set output decimal", "1/3", ":quit"],
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, "~0.333333\n", _DIGITS_RANGE)
+
+
 def test_repl_depth_is_not_a_setting(capsys, monkeypatch):
     code, out, err = run_repl(capsys, monkeypatch, [":set depth 3", "2 + 2", ":quit"])
     assert code == 0 and out == "4\n"
@@ -444,3 +474,14 @@ def test_module_invocation_round_trip():
     )
     assert result.returncode == 0
     assert result.stdout == "1\nexact\n"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    probe = (
+        "import sys; before = set(sys.modules); import grossone.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=False
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n")

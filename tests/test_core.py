@@ -212,6 +212,17 @@ def test_divide_zero_dividend():
     assert result.quotient == ZERO and result.remainder == ZERO
 
 
+@pytest.mark.parametrize(
+    "function,args",
+    [(compare, (G, 1.5)), (divide, (G, 1.5)), (divide, (1, G, 0.5))],
+    ids=["compare", "divide-divisor", "divide-cutoff"],
+)
+def test_functions_reject_foreign_operands(function, args):
+    # As G + 1.5 and G < 1.5 do: a TypeError that names the operand's type.
+    with pytest.raises(TypeError, match="'float'"):
+        function(*args)
+
+
 def test_divide_detects_unreachable_cutoff(monkeypatch):
     # G^(16.8*G) / (G+1) emits powers 16.8*G - 1 - m, all above any rational
     # cutoff, so the term budget is the only way out.

@@ -21,7 +21,7 @@ from grossone import (
 )
 from grossone.expr import Add, Constant, Div, Grossone, Mul, PowInt, Sub, Variable
 from grossone.notation import MAX_NESTING
-from support import gn, random_rational
+from support import assert_record_contract, gn, random_rational
 
 H_TEXT = "((x^2 + 2*x)/x - 2)*(34/x)"
 
@@ -202,3 +202,42 @@ def test_alternating_sum_needs_integer_count():
         eval_alternating(G**-1)
     with pytest.raises(NotIntegerValued):
         eval_alternating(gn(F(5, 2)))
+
+
+# -- nodes are immutable records ------------------------------------------------------
+
+# One node of each class, built by position and again by keyword.
+_A, _B = Variable(), Constant(F(1, 2))
+NODE_PAIRS = [
+    (Constant(F(1, 2)), Constant(value=F(1, 2))),
+    (Grossone(), Grossone()),
+    (Variable(), Variable()),
+    *[(cls(_A, _B), cls(left=_A, right=_B)) for cls in (Add, Sub, Mul, Div)],
+    (PowInt(_A, -3), PowInt(base=_A, exponent=-3)),
+]
+
+
+@pytest.mark.parametrize(
+    "node,by_keyword", NODE_PAIRS, ids=[type(node).__name__ for node, _ in NODE_PAIRS]
+)
+def test_nodes_are_immutable_records(node, by_keyword):
+    assert_record_contract(node, by_keyword)
+
+
+def test_nodes_equal_only_within_their_class():
+    assert Add(_A, _B) != Sub(_A, _B)
+    assert Grossone() != Variable()
+    nodes = [node for node, _ in NODE_PAIRS]
+    for i, node in enumerate(nodes):
+        assert all(node != other for other in nodes[i + 1 :])
+    # Fields compare as values: Fraction(2) == 2.
+    assert Constant(F(2)) == Constant(2) and hash(Constant(F(2))) == hash(Constant(2))
+
+
+def test_parsed_tree_repr_and_copies():
+    tree = parse_expr("G^2 - x/3")
+    assert repr(tree) == (
+        "Sub(left=PowInt(base=Grossone(), exponent=2), "
+        "right=Div(left=Variable(), right=Constant(value=Fraction(3, 1))))"
+    )
+    assert_record_contract(parse_expr(H_TEXT), parse_expr(H_TEXT))

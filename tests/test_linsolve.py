@@ -7,6 +7,7 @@ import pytest
 
 from grossone import (
     G,
+    SolveReport,
     ZERO,
     LinearSystem,
     SingularSystem,
@@ -15,7 +16,7 @@ from grossone import (
     solve_grossone,
 )
 from grossone.errors import InexactSolution
-from support import LOSSY_8X8, gn, random_system_with_zero_minors
+from support import LOSSY_8X8, assert_record_contract, gn, random_system_with_zero_minors
 
 ZERO_PIVOT_2X2 = LinearSystem.from_rows([[0, 1], [2, 2]], [2, 2])
 DOUBLE_ZERO_3X3 = LinearSystem.from_rows([[0, 0, 1], [2, 0, -1], [1, 2, 3]], [1, 3, 1])
@@ -138,3 +139,16 @@ def test_from_rows_validation():
         LinearSystem.from_rows([[1, 2], [3, 4]], [1])
     with pytest.raises(ValueError):
         LinearSystem.from_rows([], [])
+
+
+def test_system_and_report_are_immutable_records():
+    a, b = ((F(0), F(1)), (F(2), F(2))), (F(2), F(2))
+    assert LinearSystem(a, b) == ZERO_PIVOT_2X2 == LinearSystem(a=a, b=b)
+    assert_record_contract(ZERO_PIVOT_2X2, LinearSystem(b=b, a=a))
+    assert LinearSystem(a, b) != (a, b)  # a record, not a tuple
+    report = solve_grossone(ZERO_PIVOT_2X2)
+    assert_record_contract(report, solve_grossone(ZERO_PIVOT_2X2))
+    fields = (report.solution, report.finite_solution, 1, (0,), report.residual_leading_power)
+    assert SolveReport(*fields) == report
+    assert SolveReport(**dict(zip(SolveReport.__match_args__, fields))) == report
+    assert report != solve_grossone(DOUBLE_ZERO_3X3)
