@@ -30,6 +30,7 @@ from .core import (
     nesting_depth,
 )
 from .errors import (
+    BudgetExceeded,
     DepthExceeded,
     DivisionByZero,
     GrossoneError,
@@ -54,6 +55,7 @@ from .linsolve import LinearSystem, SolveReport, solve_exact_oracle, solve_gross
 from .notation import parse, parse_rational, print_canonical, print_decimal
 
 __all__ = [
+    "BudgetExceeded",
     "DEFAULT_DEPTH_LIMIT",
     "DEFAULT_MIN_POWER",
     "DepthExceeded",

@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .applications import MeasurePiece, event_probability, total_measure
 from .core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER, GrossNumber
 from .errors import (
+    BudgetExceeded,
     DepthExceeded,
     DivisionByZero,
     GrossoneError,
@@ -46,6 +47,7 @@ _ERROR_TABLE = [
     (OSError, "io-error", 12),
     (ValueError, "value-error", 13),
     (InexactSolution, "inexact-solution", 14),
+    (BudgetExceeded, "budget-exceeded", 15),
 ]
 
 

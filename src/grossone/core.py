@@ -15,6 +15,7 @@ from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
+    BudgetExceeded,
     DepthExceeded,
     DivisionByZero,
     InexactInverse,
@@ -29,6 +30,12 @@ DEFAULT_MIN_POWER = -8
 
 # Most quotient terms one divide() call may emit; see divide().
 DIVISION_TERM_BUDGET = 10_000
+
+# Bounds on one power x**e; see GrossNumber.__pow__.  Most term pairs one
+# product of square-and-multiply may form, and most digit bits (as counted
+# by _digit_bits) a power may build.
+PRODUCT_TERM_BUDGET = 10_000
+DIGIT_BIT_BUDGET = 1 << 21
 
 
 class GrossTerm(NamedTuple):
@@ -238,34 +245,33 @@ class GrossNumber:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "GrossNumber":
+        """A one-term numeral in closed form, (d*G^p)^e = d^e * G^(p*e); zero and
+        multi-term numerals by square-and-multiply, for e >= 0 only.
+        BudgetExceeded past DIGIT_BIT_BUDGET or PRODUCT_TERM_BUDGET."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent == 0:
-            return ONE
+        if len(self.terms) == 1:
+            _check_budget(1, _digit_bits(self) * abs(exponent))
+            d, p = self.terms[0]
+            return GrossNumber((GrossTerm(d**exponent, p * exponent),))
         if exponent < 0:
-            return self._inverse() ** (-exponent)
+            if not self.terms:
+                raise DivisionByZero("cannot invert zero")
+            # A multi-term numeral never has a terminating inverse: its product
+            # with any nonzero numeral has distinct leading and trailing
+            # grosspowers, so it cannot equal 1.
+            raise InexactInverse(
+                "inverse of a multi-term numeral does not terminate; "
+                "use divide() with an explicit cutoff"
+            )
         result, base, e = ONE, self, exponent
         while e:
             if e & 1:
-                result = result * base
+                result = _budgeted_product(result, base)
             e >>= 1
             if e:
-                base = base * base
+                base = _budgeted_product(base, base)
         return result
-
-    def _inverse(self) -> "GrossNumber":
-        if not self.terms:
-            raise DivisionByZero("cannot invert zero")
-        if len(self.terms) == 1:
-            t = self.terms[0]
-            return GrossNumber((GrossTerm(1 / t.digit, -t.power),))
-        # A multi-term numeral never has a terminating inverse: its product
-        # with any nonzero numeral has distinct leading and trailing
-        # grosspowers, so it cannot equal 1.
-        raise InexactInverse(
-            "inverse of a multi-term numeral does not terminate; "
-            "use divide() with an explicit cutoff"
-        )
 
     # -- ordering ----------------------------------------------------------
 
@@ -353,6 +359,35 @@ def _normalize(pairs) -> Tuple[GrossTerm, ...]:
     kept = [p for p, d in groups.items() if d]
     kept.sort(key=_POWER_ORDER, reverse=True)
     return tuple(GrossTerm(groups[p], p) for p in kept)
+
+
+def _digit_bits(number: GrossNumber) -> int:
+    """ceil(log2) of the largest numerator or denominator among the digits.
+
+    Bits add up under products and scale under powers, so this bounds the
+    digits a power builds.  A digit of +-1 counts 0: any power of it is free.
+    """
+    return max(
+        ((max(abs(t.digit.numerator), t.digit.denominator) - 1).bit_length() for t in number.terms),
+        default=0,
+    )
+
+
+def _check_budget(pairs: int, bits: int) -> None:
+    if pairs > PRODUCT_TERM_BUDGET:
+        raise BudgetExceeded(
+            f"power needs a product of {pairs} term pairs; limit is {PRODUCT_TERM_BUDGET}"
+        )
+    if bits > DIGIT_BIT_BUDGET:
+        raise BudgetExceeded(
+            f"power needs digits of about {bits} bits; limit is {DIGIT_BIT_BUDGET}"
+        )
+
+
+def _budgeted_product(a: GrossNumber, b: GrossNumber) -> GrossNumber:
+    """a * b for square-and-multiply, refused past the power budgets."""
+    _check_budget(len(a.terms) * len(b.terms), _digit_bits(a) + _digit_bits(b))
+    return a * b
 
 
 def compare(a, b) -> int:

@@ -23,6 +23,15 @@ class NonTerminatingDivision(GrossoneError):
     """
 
 
+class BudgetExceeded(GrossoneError):
+    """A power would build digits or products past the work budgets.
+
+    ``core.DIGIT_BIT_BUDGET`` bounds the digit bits and
+    ``core.PRODUCT_TERM_BUDGET`` the term pairs of one product, so every
+    power ends in bounded time.
+    """
+
+
 class InexactInverse(GrossoneError):
     """Negative power of a multi-term numeral whose inverse does not terminate."""
 

@@ -118,7 +118,7 @@ class _ExprParser(_Cursor):
             depth = self.nest(depth + 1, self.advance())
             exponent = self._exponent()
             if isinstance(node, Constant) and (node.value != 0 or exponent >= 0):
-                node = Constant(node.value**exponent)
+                node = Constant((GrossNumber.from_rational(node.value) ** exponent).finite_part())
             else:
                 node = PowInt(node, exponent)
         for tok in reversed(minus):

@@ -24,18 +24,18 @@ class LinearSystem(Record):
     __slots__ = __match_args__ = ("a", "b")
 
     def __init__(self, a: Tuple[Tuple[Fraction, ...], ...], b: Tuple[Fraction, ...]):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def from_rows(cls, a: Iterable[Iterable], b: Iterable) -> "LinearSystem":
         rows = tuple(tuple(Fraction(x) for x in row) for row in a)
         rhs = tuple(Fraction(x) for x in b)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("coefficient matrix must be square and non-empty")
         if len(rhs) != len(rows):
             raise ValueError("right-hand side length must match the matrix")
-        return cls(rows, rhs)
+        object.__setattr__(self, "a", rows)
+        object.__setattr__(self, "b", rhs)
+
+    @classmethod
+    def from_rows(cls, a: Iterable[Iterable], b: Iterable) -> "LinearSystem":
+        return cls(a, b)
 
     @property
     def size(self) -> int:
@@ -83,16 +83,16 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
         pivot = m[col][col]
         if pivot.is_zero():
             pivot = _INV_G
-            m[col][col] = _INV_G
             z += 1
             injected.append(col)
         cutoff = GrossNumber.from_rational(-z)
-        for c in range(col, n + 1):
+        # Entries at and below the pivot are never read again: start right of it.
+        for c in range(col + 1, n + 1):
             m[col][c] = divide(m[col][c], pivot, cutoff).quotient
         for r in range(col + 1, n):
             factor = m[r][col]
             if not factor.is_zero():
-                for c in range(col, n + 1):
+                for c in range(col + 1, n + 1):
                     m[r][c] = m[r][c] - factor * m[col][c]
     xs = [m[i][n] for i in range(n)]
     for i in range(n - 1, -1, -1):

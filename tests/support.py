@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import pickle
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,18 @@ gt = GrossNumber.from_terms
 
 # Longest decimal integer the interpreter converts; 0 where it has no limit.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _load_reference():
+    """benchmarks/reference.py: Fraction-dict arithmetic that imports no grossone."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.py"
+    spec = importlib.util.spec_from_file_location("reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+R = _load_reference()
 
 
 def assert_record_contract(record, equal) -> None:

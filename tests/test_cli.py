@@ -462,6 +462,40 @@ def test_deep_input_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, code
     assert out == ("2\n" if argv == ["repl"] else "")
 
 
+# -- power budgets ---------------------------------------------------------------------
+
+_WIDE_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 3}]'
+_THIN_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 1}]'
+
+
+@pytest.mark.parametrize(
+    "argv,pieces_json,code,out",
+    [
+        (["eval", "10^100000000"], None, 15, ""),
+        (["eval", "x^1000000000", "--at", "2"], None, 15, ""),
+        (["eval", "(G+1)^100000"], None, 15, ""),
+        (["measure", "PIECES"], _WIDE_CODIM, 15, ""),
+        (["measure", "PIECES"], _THIN_CODIM, 0, "1*G^-100000000\n"),
+        (["eval", "x^1000000000", "--at", "1"], None, 0, "1\nexact\n"),
+        (["eval", "x^1000000000", "--at", "G"], None, 0, "1*G^1000000000\nexact\n"),
+    ],
+)
+def test_power_budget_ends_large_powers(tmp_path, argv, pieces_json, code, out):
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(pieces_json or "[]")
+    argv = [str(pieces) if arg == "PIECES" else arg for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "grossone", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        check=False,
+    )
+    assert (result.returncode, result.stdout) == (code, out)
+    if code:
+        assert result.stderr.startswith("budget-exceeded:") and result.stderr.count("\n") == 1
+
+
 # -- module entry point ---------------------------------------------------------------
 
 

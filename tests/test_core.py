@@ -9,6 +9,7 @@ from grossone import (
     G,
     ONE,
     ZERO,
+    BudgetExceeded,
     DepthExceeded,
     DivisionByZero,
     GrossTerm,
@@ -20,7 +21,7 @@ from grossone import (
     divide,
     nesting_depth,
 )
-from support import gn, gt, random_grossone, recomposition_holds
+from support import R, gn, gt, random_grossone, random_rational_powered, recomposition_holds
 
 
 def test_normalize_cancellation_gives_zero():
@@ -146,6 +147,40 @@ def test_pow_negative_multi_term_raises():
 def test_pow_negative_zero_raises():
     with pytest.raises(DivisionByZero):
         ZERO**-1
+
+
+def test_pow_matches_reference_multiplication():
+    rng = random.Random(8)
+    for _ in range(60):
+        for x in (random_grossone(rng), random_rational_powered(rng)):
+            for e in range(7):
+                assert R.from_package(x**e) == R.power(R.from_package(x), e)
+
+
+def test_pow_one_term_inverse_cancels():
+    rng = random.Random(9)
+    for _ in range(40):
+        x = random_grossone(rng, 1)
+        if x.terms:
+            for e in range(1, 7):
+                assert x**-e * x**e == ONE
+
+
+def test_pow_budgets(monkeypatch):
+    # A digit of +-1 costs nothing, whatever the exponent.
+    assert (-G**-1) ** 100_000_001 == -(G**-100_000_001)
+    monkeypatch.setattr(core, "DIGIT_BIT_BUDGET", 20)
+    assert gn(F(1, 2)) ** -20 == 2**20
+    with pytest.raises(BudgetExceeded, match="21 bits; limit is 20"):
+        gn(F(1, 2)) ** -21
+    x = 2 * G + 3
+    assert R.from_package(x**8) == R.power(R.from_package(x), 8)  # squares 8-bit digits
+    with pytest.raises(BudgetExceeded, match="34 bits; limit is 20"):
+        x**16  # squaring x^8, whose digits need 17 bits
+    monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 9)
+    assert (G + 1) ** 4 == G**4 + 4 * G**3 + 6 * G**2 + 4 * G + 1  # 3x3 pairs
+    with pytest.raises(BudgetExceeded, match="10 term pairs"):
+        (G + 1) ** 5  # (G+1)^4 times G+1: 5x2 pairs
 
 
 # -- comparison ----------------------------------------------------------------

@@ -9,6 +9,7 @@ from grossone import (
     G,
     ONE,
     ZERO,
+    BudgetExceeded,
     DivisionByZero,
     InexactSum,
     NotIntegerValued,
@@ -48,6 +49,9 @@ def test_constant_power_is_folded():
 def test_constant_subtrees_fold_to_rationals():
     assert parse_expr("3/4 + 1/4") == Constant(F(1))
     assert parse_expr("2^-3") == Constant(F(1, 8))
+    assert parse_expr("(2/3)^-4") == Constant(F(81, 16))
+    assert parse_expr("0^0") == Constant(F(1))
+    assert parse_expr("0^3") == Constant(F(0))
     assert parse_expr("-(2 + 3)*4") == Constant(F(-20))
 
 
@@ -56,6 +60,16 @@ def test_fold_keeps_constant_poles_for_eval():
     assert isinstance(tree, Div)
     with pytest.raises(DivisionByZero):
         eval_at(tree, ZERO)
+    tree = parse_expr("0^-1")
+    assert tree == PowInt(Constant(F(0)), -1)
+    with pytest.raises(DivisionByZero):
+        eval_at(tree, ZERO)
+
+
+def test_fold_refuses_a_power_past_the_budget():
+    # The fold raises before the parser reaches the trailing syntax error.
+    with pytest.raises(BudgetExceeded):
+        parse_expr("7^3000000 +")
 
 
 def test_precedence_and_associativity():

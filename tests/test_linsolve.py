@@ -139,6 +139,13 @@ def test_from_rows_validation():
         LinearSystem.from_rows([[1, 2], [3, 4]], [1])
     with pytest.raises(ValueError):
         LinearSystem.from_rows([], [])
+    # The constructor runs the same checks and conversions.
+    for a, b in [(((1, 2),), (3,)), (((2,),), (4, 9)), ((), ())]:
+        with pytest.raises(ValueError):
+            LinearSystem(a, b)
+    system = LinearSystem([[1, 2], [3, 4]], [1, 2])
+    assert system.a == ((F(1), F(2)), (F(3), F(4))) and system.b == (F(1), F(2))
+    assert hash(system) == hash(LinearSystem.from_rows([[1, 2], [3, 4]], [1, 2]))
 
 
 def test_system_and_report_are_immutable_records():
