@@ -31,9 +31,9 @@ DEFAULT_MIN_POWER = -8
 # Most quotient terms one divide() call may emit; see divide().
 DIVISION_TERM_BUDGET = 10_000
 
-# Bounds on one power x**e; see GrossNumber.__pow__.  Most term pairs one
-# product of square-and-multiply may form, and most digit bits (as counted
-# by _digit_bits) a power may build.
+# Work budgets, checked by _check_budget: the most term pairs one budgeted
+# product may form, and the most digit bits a power or a budgeted product
+# (as _digit_bits counts them) or one quotient digit of divide() may build.
 PRODUCT_TERM_BUDGET = 10_000
 DIGIT_BIT_BUDGET = 1 << 21
 
@@ -126,7 +126,7 @@ class GrossNumber:
                 raise DepthExceeded(
                     f"grosspower nests {nesting_depth(power)} levels; limit is {depth_limit}"
                 )
-            checked.append((Fraction(digit), power))
+            checked.append((digit if type(digit) is Fraction else Fraction(digit), power))
         return cls(_normalize(checked))
 
     # -- classification ------------------------------------------------
@@ -374,18 +374,16 @@ def _digit_bits(number: GrossNumber) -> int:
 
 
 def _check_budget(pairs: int, bits: int) -> None:
+    """BudgetExceeded before a product of ``pairs`` term pairs or a digit of
+    about ``bits`` bits is built past its budget."""
     if pairs > PRODUCT_TERM_BUDGET:
-        raise BudgetExceeded(
-            f"power needs a product of {pairs} term pairs; limit is {PRODUCT_TERM_BUDGET}"
-        )
+        raise BudgetExceeded(f"product needs {pairs} term pairs; limit is {PRODUCT_TERM_BUDGET}")
     if bits > DIGIT_BIT_BUDGET:
-        raise BudgetExceeded(
-            f"power needs digits of about {bits} bits; limit is {DIGIT_BIT_BUDGET}"
-        )
+        raise BudgetExceeded(f"digits need about {bits} bits; limit is {DIGIT_BIT_BUDGET}")
 
 
 def _budgeted_product(a: GrossNumber, b: GrossNumber) -> GrossNumber:
-    """a * b for square-and-multiply, refused past the power budgets."""
+    """a * b for square-and-multiply and expressions, refused past the budgets."""
     _check_budget(len(a.terms) * len(b.terms), _digit_bits(a) + _digit_bits(b))
     return a * b
 
@@ -445,7 +443,8 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     recomposition identity holds exactly.
 
     NonTerminatingDivision ends any division that has emitted
-    DIVISION_TERM_BUDGET quotient terms without reaching the cutoff.
+    DIVISION_TERM_BUDGET quotient terms without reaching the cutoff, and
+    BudgetExceeded one whose quotient digit passes DIGIT_BIT_BUDGET bits.
     """
     c = _operand(c)
     b = _operand(b)
@@ -464,6 +463,7 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
                 f"quotient exceeded {DIVISION_TERM_BUDGET} terms before reaching the cutoff"
             )
         digit = r.terms[0].digit / lead_b.digit
+        _check_budget(0, max(digit.numerator.bit_length(), digit.denominator.bit_length()))
         quotient_terms.append(GrossTerm(digit, k))
         r = r + GrossNumber((GrossTerm(-digit, k),)) * b
     # Emitted grosspowers strictly decrease, so the tuple is already normal.

@@ -24,11 +24,13 @@ class NonTerminatingDivision(GrossoneError):
 
 
 class BudgetExceeded(GrossoneError):
-    """A power would build digits or products past the work budgets.
+    """A power, a product in an expression or a quotient digit would pass
+    the work budgets.
 
     ``core.DIGIT_BIT_BUDGET`` bounds the digit bits and
     ``core.PRODUCT_TERM_BUDGET`` the term pairs of one product, so every
-    power ends in bounded time.
+    power, every product eval_at forms and every division step ends in
+    bounded time.
     """
 
 

@@ -11,7 +11,7 @@ import operator
 from fractions import Fraction
 from typing import Tuple
 
-from .core import DEFAULT_MIN_POWER, G, ONE, GrossNumber, Record, divide
+from .core import DEFAULT_MIN_POWER, G, ONE, GrossNumber, Record, _budgeted_product, divide
 from .errors import InexactSum, ParseError
 from .notation import _Cursor
 
@@ -38,7 +38,7 @@ class Variable(Expr):
 
 
 class _Binary(Expr):
-    """A node ``left op right``; each subclass names its operator in ``op``."""
+    """A node ``left op right``; Add, Sub and Mul name their operator in ``op``."""
 
     __slots__ = __match_args__ = ("left", "right")
 
@@ -59,12 +59,11 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-    op = operator.mul
+    op = staticmethod(_budgeted_product)
 
 
 class Div(_Binary):
     __slots__ = ()
-    op = operator.truediv
 
 
 class PowInt(Expr):
@@ -116,11 +115,7 @@ class _ExprParser(_Cursor):
             node, depth = _atom(tok), 0
         if self.peek().kind == "^":
             depth = self.nest(depth + 1, self.advance())
-            exponent = self._exponent()
-            if isinstance(node, Constant) and (node.value != 0 or exponent >= 0):
-                node = Constant((GrossNumber.from_rational(node.value) ** exponent).finite_part())
-            else:
-                node = PowInt(node, exponent)
+            node = PowInt(node, self._exponent())
         for tok in reversed(minus):
             node, depth = self._join(tok, (_ZERO, 0), (node, depth))
         return node, depth
@@ -137,15 +132,9 @@ class _ExprParser(_Cursor):
         return sign * tok.value
 
     def _join(self, tok, left, right) -> Tuple[Expr, int]:
-        """``left tok right`` one level below its deeper side, folded to a
-        Constant when both sides are constants."""
-        cls = _OPERATORS[tok.kind]
+        """The node ``left tok right``, one level below its deeper side."""
         (a, a_depth), (b, b_depth) = left, right
-        depth = self.nest(max(a_depth, b_depth) + 1, tok)
-        if isinstance(a, Constant) and isinstance(b, Constant):
-            if cls is not Div or b.value != 0:  # a zero divisor is left for eval to report
-                return Constant(cls.op(a.value, b.value)), depth
-        return cls(a, b), depth
+        return _OPERATORS[tok.kind](a, b), self.nest(max(a_depth, b_depth) + 1, tok)
 
 
 def _atom(tok) -> Expr:
@@ -160,10 +149,10 @@ def _atom(tok) -> Expr:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse infix text over x, G, and exact numeric literals.
+    """Parse infix text over x, G, and exact numeric literals into its tree.
 
-    Exponents are integer literals only.  Constant subtrees (no x, no G)
-    are folded to exact rationals, so 10^100 becomes a single constant.
+    Exponents are integer literals only.  Nothing is computed here, so the
+    only error is ParseError; eval_at computes every node, constants too.
     """
     parser = _ExprParser(text)
     node, _ = parser._sum()
@@ -187,9 +176,9 @@ def eval_at(
 ) -> Tuple[GrossNumber, bool]:
     """Evaluate at a grossone point; returns (result, every-division-exact).
 
-    Division (and negative exponents) go through long division with the
-    ``min_power`` cutoff; the flag is False when any step was truncated.
-    DivisionByZero signals a true pole of the expression at this point.
+    Every division and negative exponent, constant ones too, is a long
+    division with the ``min_power`` cutoff; the flag is False when any step
+    was truncated.  DivisionByZero signals a true pole at this point.
     """
     exact = True
 

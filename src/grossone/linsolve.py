@@ -24,8 +24,8 @@ class LinearSystem(Record):
     __slots__ = __match_args__ = ("a", "b")
 
     def __init__(self, a: Tuple[Tuple[Fraction, ...], ...], b: Tuple[Fraction, ...]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in a)
-        rhs = tuple(Fraction(x) for x in b)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in a)
+        rhs = tuple(x if type(x) is Fraction else Fraction(x) for x in b)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("coefficient matrix must be square and non-empty")
         if len(rhs) != len(rows):

@@ -45,6 +45,12 @@ def test_eval_truncated_division(capsys):
     assert out == "1*G^-1 - 1*G^-2 + 1*G^-3\ninexact\n"
 
 
+@pytest.mark.parametrize("argv", [["eval", "1/3"], ["eval", "x/3", "--at", "1"]])
+def test_eval_constant_division_obeys_the_cutoff(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--min-power", "1")
+    assert (code, out) == (0, "0\ninexact\n")
+
+
 def test_eval_decimal_mode(capsys):
     code, out, _ = run_cli(capsys, "eval", "1/3 + G^-1", "--decimal", "4")
     assert code == 0
@@ -462,7 +468,7 @@ def test_deep_input_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, code
     assert out == ("2\n" if argv == ["repl"] else "")
 
 
-# -- power budgets ---------------------------------------------------------------------
+# -- work budgets ----------------------------------------------------------------------
 
 _WIDE_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 3}]'
 _THIN_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 1}]'
@@ -478,6 +484,8 @@ _THIN_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 1}]'
         (["measure", "PIECES"], _THIN_CODIM, 0, "1*G^-100000000\n"),
         (["eval", "x^1000000000", "--at", "1"], None, 0, "1\nexact\n"),
         (["eval", "x^1000000000", "--at", "G"], None, 0, "1*G^1000000000\nexact\n"),
+        (["eval", "*".join(["10^500000"] * 16)], None, 15, ""),
+        (["eval", "1/(G+10^4000)", "--min-power", "-1000"], None, 15, ""),
     ],
 )
 def test_power_budget_ends_large_powers(tmp_path, argv, pieces_json, code, out):

@@ -183,6 +183,14 @@ def test_pow_budgets(monkeypatch):
         (G + 1) ** 5  # (G+1)^4 times G+1: 5x2 pairs
 
 
+def test_divide_digit_budget(monkeypatch):
+    # 1/(G + 256) emits digits (-256)^k, of 8k + 1 bits.
+    monkeypatch.setattr(core, "DIGIT_BIT_BUDGET", 20)
+    assert divide(1, G + 256, -3).quotient == G**-1 - 256 * G**-2 + 65536 * G**-3
+    with pytest.raises(BudgetExceeded, match="25 bits; limit is 20"):
+        divide(1, G + 256, -4)
+
+
 # -- comparison ----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
-"""Expression parsing, constant folding, and evaluation at grossone points."""
+"""Expression parsing into trees, and evaluation at grossone points."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -38,21 +39,26 @@ def test_parse_expr_grossone_atom():
     assert parse_expr("G") == Grossone()
 
 
-def test_constant_power_is_folded():
+def test_constant_power_is_a_powint_node():
     tree = parse_expr("x^4 + 11.5*x^2 + 10^100")
     assert tree == Add(
         Add(PowInt(Variable(), 4), Mul(Constant(F("11.5")), PowInt(Variable(), 2))),
-        Constant(F(10**100)),
+        PowInt(Constant(F(10)), 100),
     )
+    assert eval_at(parse_expr("10^100"), ZERO) == (gn(10**100), True)
 
 
-def test_constant_subtrees_fold_to_rationals():
-    assert parse_expr("3/4 + 1/4") == Constant(F(1))
-    assert parse_expr("2^-3") == Constant(F(1, 8))
-    assert parse_expr("(2/3)^-4") == Constant(F(81, 16))
-    assert parse_expr("0^0") == Constant(F(1))
-    assert parse_expr("0^3") == Constant(F(0))
-    assert parse_expr("-(2 + 3)*4") == Constant(F(-20))
+def test_constant_subtrees_evaluate_to_rationals():
+    cases = [
+        ("3/4 + 1/4", F(1)),
+        ("2^-3", F(1, 8)),
+        ("(2/3)^-4", F(81, 16)),
+        ("0^0", F(1)),
+        ("0^3", F(0)),
+        ("-(2 + 3)*4", F(-20)),
+    ]
+    for text, value in cases:
+        assert eval_at(parse_expr(text), ZERO) == (gn(value), True)
 
 
 def test_fold_keeps_constant_poles_for_eval():
@@ -66,18 +72,46 @@ def test_fold_keeps_constant_poles_for_eval():
         eval_at(tree, ZERO)
 
 
-def test_fold_refuses_a_power_past_the_budget():
-    # The fold raises before the parser reaches the trailing syntax error.
-    with pytest.raises(BudgetExceeded):
+def test_parse_leaves_a_large_power_to_the_eval_budget():
+    # Parsing computes nothing, so the trailing syntax error is found at once.
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
         parse_expr("7^3000000 +")
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(BudgetExceeded):
+        eval_at(parse_expr("7^3000000"), ZERO)
 
 
 def test_precedence_and_associativity():
-    assert parse_expr("2 + 3*4") == Constant(F(14))
-    assert parse_expr("2 - 3 - 4") == Constant(F(-5))
-    assert parse_expr("-2^2") == Constant(F(-4))  # ^ binds before unary minus
-    assert parse_expr("12/3/2") == Constant(F(2))
+    two, three, four = Constant(F(2)), Constant(F(3)), Constant(F(4))
+    cases = [
+        ("2 + 3*4", Add(two, Mul(three, four)), 14),
+        ("2 - 3 - 4", Sub(Sub(two, three), four), -5),
+        ("-2^2", Sub(Constant(F(0)), PowInt(two, 2)), -4),  # ^ binds before unary minus
+        ("12/3/2", Div(Div(Constant(F(12)), three), two), 2),
+    ]
+    for text, tree, value in cases:
+        assert parse_expr(text) == tree
+        assert eval_at(tree, ZERO) == (gn(value), True)
     assert parse_expr("-x^2") == Sub(Constant(F(0)), PowInt(Variable(), 2))
+
+
+_FUZZ_TOKENS = ["x", "G", "y", "0", "7", "10", "2.5", "3000000", "+", "-", "*", "/", "^", "(", ")"]
+_FUZZ_TOKENS += [" ", ".", "²"]  # characters the scanner rejects or skips
+
+
+def test_parse_expr_raises_only_parse_errors():
+    # Any other exception fails the test; a large constant power only parses.
+    rng = random.Random(1203)
+    parsed = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 12)))
+        try:
+            parse_expr(text)
+        except ParseError:
+            continue
+        parsed += 1
+    assert parsed > 500  # enough strings get past the grammar to build trees
 
 
 @pytest.mark.parametrize(
