@@ -37,7 +37,6 @@ from .errors import (
     InexactInverse,
     InexactProbability,
     InexactSum,
-    NonTerminatingDivision,
     NotIntegerValued,
     ParseError,
     SchemaError,
@@ -71,7 +70,6 @@ __all__ = [
     "InexactSum",
     "LinearSystem",
     "MeasurePiece",
-    "NonTerminatingDivision",
     "NotIntegerValued",
     "ONE",
     "ParseError",

@@ -24,7 +24,6 @@ from .errors import (
     InexactInverse,
     InexactProbability,
     InexactSolution,
-    NonTerminatingDivision,
     NotIntegerValued,
     ParseError,
     SchemaError,
@@ -43,7 +42,6 @@ _ERROR_TABLE = [
     (InexactProbability, "inexact-probability", 8),
     (SingularSystem, "singular-system", 9),
     (SchemaError, "schema-error", 10),
-    (NonTerminatingDivision, "non-terminating-division", 11),
     (OSError, "io-error", 12),
     (ValueError, "value-error", 13),
     (InexactSolution, "inexact-solution", 14),

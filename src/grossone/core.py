@@ -19,7 +19,6 @@ from .errors import (
     DepthExceeded,
     DivisionByZero,
     InexactInverse,
-    NonTerminatingDivision,
     NotIntegerValued,
 )
 
@@ -28,12 +27,9 @@ RationalLike = Union[int, Fraction]
 DEFAULT_DEPTH_LIMIT = 2
 DEFAULT_MIN_POWER = -8
 
-# Most quotient terms one divide() call may emit; see divide().
-DIVISION_TERM_BUDGET = 10_000
-
-# Work budgets, checked by _check_budget: the most term pairs one budgeted
-# product may form, and the most digit bits a power or a budgeted product
-# (as _digit_bits counts them) or one quotient digit of divide() may build.
+# Work budgets: the most term pairs one budgeted product or divide() call may
+# form, and the most digit bits a power or a budgeted product (as _digit_bits
+# counts them) or one quotient digit of divide() may build.
 PRODUCT_TERM_BUDGET = 10_000
 DIGIT_BIT_BUDGET = 1 << 21
 
@@ -357,7 +353,7 @@ def _normalize(pairs) -> Tuple[GrossTerm, ...]:
         else:
             groups[power] = digit
     kept = [p for p, d in groups.items() if d]
-    kept.sort(key=_POWER_ORDER, reverse=True)
+    kept.sort(key=_DESCENDING)
     return tuple(GrossTerm(groups[p], p) for p in kept)
 
 
@@ -419,7 +415,8 @@ def _compare_terms(a, b) -> int:
     return 0
 
 
-_POWER_ORDER = cmp_to_key(lambda p, q: _compare_terms(p.terms, q.terms))
+# Sort key for grosspowers, highest first: orders term tuples and divide()'s heap.
+_DESCENDING = cmp_to_key(lambda p, q: _compare_terms(q.terms, p.terms))
 
 
 def nesting_depth(value: GrossNumber) -> int:
@@ -436,38 +433,54 @@ def nesting_depth(value: GrossNumber) -> int:
 def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     """Long division ``c = quotient * b + remainder``.
 
-    Each step divides the leading digits and subtracts the resulting
-    term-multiple of ``b`` from the running partial remainder.  Emission
-    stops when the remainder reaches zero (exact) or the next quotient
-    grosspower would fall below ``min_power`` (inexact); either way the
-    recomposition identity holds exactly.
+    Each step divides the leading digits and subtracts that term times
+    ``b``'s trailing terms from the remainder: a dict of digits keyed on
+    grosspower, with a max-heap of its powers, so a step costs ``b``'s
+    terms.  Emission stops when the remainder reaches zero (exact) or the
+    next quotient grosspower would fall below ``min_power`` (inexact);
+    either way the recomposition identity holds exactly.
 
-    NonTerminatingDivision ends any division that has emitted
-    DIVISION_TERM_BUDGET quotient terms without reaching the cutoff, and
-    BudgetExceeded one whose quotient digit passes DIGIT_BIT_BUDGET bits.
+    Division forms the term pairs of ``quotient * b``, so BudgetExceeded
+    ends one that passes PRODUCT_TERM_BUDGET pairs before the cutoff, or
+    whose quotient digit passes DIGIT_BIT_BUDGET bits.
     """
     c = _operand(c)
     b = _operand(b)
     min_power = _operand(min_power)
     if not b.terms:
         raise DivisionByZero("division by zero")
-    lead_b = b.terms[0]
-    quotient_terms: list = []
-    r = c
-    while r.terms:
-        k = r.terms[0].power - lead_b.power
+    from heapq import heappop, heappush  # here, so `import grossone` does not load _heapq
+    lead_digit, neg_lead_power, tail = b.terms[0].digit, -b.terms[0].power, b.terms[1:]
+    remainder = {t.power: t.digit for t in c.terms}  # grosspower -> digit
+    # Each power in the dict is on the heap once; c's sorted powers form a heap.
+    heap = [_DESCENDING(t.power) for t in c.terms]
+    quotient: list = []
+    while heap:
+        power = heappop(heap).obj
+        digit = remainder.pop(power)
+        if not digit:
+            continue
+        k = power + neg_lead_power
         if _compare_terms(k.terms, min_power.terms) < 0:
-            return DivisionResult(GrossNumber(tuple(quotient_terms)), r)
-        if len(quotient_terms) >= DIVISION_TERM_BUDGET:
-            raise NonTerminatingDivision(
-                f"quotient exceeded {DIVISION_TERM_BUDGET} terms before reaching the cutoff"
-            )
-        digit = r.terms[0].digit / lead_b.digit
+            # Every power left lies lower still: the rest is the remainder.
+            remainder[power] = digit
+            break
+        if (len(quotient) + 1) * len(b.terms) > PRODUCT_TERM_BUDGET:
+            limit = PRODUCT_TERM_BUDGET
+            raise BudgetExceeded(f"division needs over {limit} term pairs to reach the cutoff")
+        digit /= lead_digit
         _check_budget(0, max(digit.numerator.bit_length(), digit.denominator.bit_length()))
-        quotient_terms.append(GrossTerm(digit, k))
-        r = r + GrossNumber((GrossTerm(-digit, k),)) * b
-    # Emitted grosspowers strictly decrease, so the tuple is already normal.
-    return DivisionResult(GrossNumber(tuple(quotient_terms)), ZERO)
+        # Popped powers strictly decrease, so the quotient stays normal.
+        quotient.append(GrossTerm(digit, k))
+        for t in tail:
+            p = k + t.power
+            if p in remainder:
+                remainder[p] -= digit * t.digit
+            else:
+                remainder[p] = -digit * t.digit
+                heappush(heap, _DESCENDING(p))
+    rest = _normalize((d, p) for p, d in remainder.items())
+    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(rest))
 
 
 def _is_nonnegative_integer(power: GrossNumber) -> bool:

@@ -13,24 +13,15 @@ class DivisionByZero(GrossoneError, ZeroDivisionError):
     """Division (or inversion) of a numeral by exact zero."""
 
 
-class NonTerminatingDivision(GrossoneError):
-    """Long division ran past its term budget without reaching the cutoff.
-
-    The budget (``core.DIVISION_TERM_BUDGET`` quotient terms) ends any
-    division that has not reached its cutoff: one whose cutoff is far
-    below the dividend, such as 1/(G+1) down to G^-20000, as well as one
-    whose grosspowers have infinite parts and never reach it.
-    """
-
-
 class BudgetExceeded(GrossoneError):
-    """A power, a product in an expression or a quotient digit would pass
-    the work budgets.
+    """A power, a product in an expression or a division would pass a budget.
 
     ``core.DIGIT_BIT_BUDGET`` bounds the digit bits and
-    ``core.PRODUCT_TERM_BUDGET`` the term pairs of one product, so every
-    power, every product eval_at forms and every division step ends in
-    bounded time.
+    ``core.PRODUCT_TERM_BUDGET`` the term pairs of one product, or of
+    ``quotient * divisor`` for a division, so every power, every product
+    eval_at forms and every division ends in bounded time.  A division
+    past it has not reached its cutoff: one far below the dividend, as in
+    1/(G+1) down to G^-20000, or one that infinite grosspowers never reach.
     """
 
 

@@ -472,6 +472,11 @@ def test_deep_input_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, code
 
 _WIDE_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 3}]'
 _THIN_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 1}]'
+# Each step of this division leaves a G^(-G+k) term that never leads again.
+_FAR_BELOW = "1/3+(10-1/3+1)+-(0.25+" + "9" * 200 + ")/-x+0.25-10-7"
+_FAR_BELOW_AT = "1000*G^2 + 1000*G^-1 + 1/3*G^(-G)"
+# Gaps of 39.5 and 41 between this divisor's powers leave ~25,000 quotient powers to try.
+_FAR_TOTAL = "1/2*G^40 - 8/3*G^(1/2) + 2*G^-1"
 
 
 @pytest.mark.parametrize(
@@ -486,6 +491,9 @@ _THIN_CODIM = '[{"extent": "1", "codim": 100000000, "width_points": 1}]'
         (["eval", "x^1000000000", "--at", "G"], None, 0, "1*G^1000000000\nexact\n"),
         (["eval", "*".join(["10^500000"] * 16)], None, 15, ""),
         (["eval", "1/(G+10^4000)", "--min-power", "-1000"], None, 15, ""),
+        (["eval", _FAR_BELOW, "--at", _FAR_BELOW_AT, "--min-power", "-27000"], None, 15, ""),
+        (["prob", "--favorable", "1", "--total", _FAR_TOTAL, "--min-power", "-9000"], None, 15, ""),
+        (["eval", "1/(G+1)", "--min-power", "-20000"], None, 15, ""),
     ],
 )
 def test_power_budget_ends_large_powers(tmp_path, argv, pieces_json, code, out):

@@ -14,7 +14,6 @@ from grossone import (
     DivisionByZero,
     GrossTerm,
     InexactInverse,
-    NonTerminatingDivision,
     NotIntegerValued,
     compare,
     core,
@@ -268,20 +267,36 @@ def test_functions_reject_foreign_operands(function, args):
 
 def test_divide_detects_unreachable_cutoff(monkeypatch):
     # G^(16.8*G) / (G+1) emits powers 16.8*G - 1 - m, all above any rational
-    # cutoff, so the term budget is the only way out.
-    monkeypatch.setattr(core, "DIVISION_TERM_BUDGET", 50)
+    # cutoff, so the term-pair budget is the only way out.
+    monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 100)
     c = gt([(1, gt([(F("16.8"), 1)]))])
-    with pytest.raises(NonTerminatingDivision):
+    with pytest.raises(BudgetExceeded, match="cutoff"):
         divide(c, G + 1, -8)
 
 
 def test_term_budget_ends_a_division_with_a_far_cutoff(monkeypatch):
-    # Rational grosspowers reach the cutoff G^-100 after 100 quotient terms;
-    # the budget ends the division first.
-    monkeypatch.setattr(core, "DIVISION_TERM_BUDGET", 50)
-    with pytest.raises(NonTerminatingDivision):
+    # Rational grosspowers reach the cutoff G^-100 after 100 quotient terms,
+    # 200 term pairs of quotient * (G+1); the budget ends the division first.
+    monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 100)
+    with pytest.raises(BudgetExceeded, match="cutoff"):
         divide(1, G + 1, -100)
-    assert len(divide(1, G + 1, -49).quotient.terms) == 49
+    assert len(divide(1, G + 1, -50).quotient.terms) == 50
+
+
+def test_division_work_grows_with_quotient_times_divisor():
+    # A step costs the divisor's terms, so a 1000-term divisor meets the
+    # term-pair budget after 10 quotient terms ...
+    wide = gt([(1, 1)] + [(i % 7 + 2, -i) for i in range(1000)])  # G + sum(...*G^-i)
+    with pytest.raises(BudgetExceeded, match="cutoff"):
+        divide(1, wide, -1000)
+    # ... and a remainder term far below the leading one is not rewalked
+    # at every step: 1000 dividend terms, 2001 quotient terms.
+    dividend, divisor = gt([(1, -i) for i in range(1000)]), 1 + G**-1000
+    q, r = divide(dividend, divisor, -2000)
+    laurent = [R.to_laurent(R.from_package(x)) for x in (dividend, divisor)]
+    expected = tuple(R.from_laurent(part) for part in R.laurent_divide(*laurent, -2000)[:2])
+    assert (R.from_package(q), R.from_package(r)) == expected
+    assert len(q.terms) == 2001
 
 
 # -- part extraction -------------------------------------------------------------
