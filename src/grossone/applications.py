@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, Record, divide
+from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, Record, _operand, _rational, divide
 from .errors import InexactProbability
 
 
@@ -43,6 +43,7 @@ def event_probability(
     favorable count out of an infinite total gives an infinitesimal that
     still compares greater than 0.
     """
+    favorable, total = _operand(favorable), _operand(total)
     if total.sign() <= 0:
         raise ValueError("total event count must be positive")
     if favorable.sign() < 0 or favorable > total:
@@ -68,7 +69,10 @@ class MeasurePiece(Record):
     __slots__ = __match_args__ = ("extent", "codim", "width_points", "resolution")
 
     def __init__(self, extent: Fraction, codim: int, width_points: int = 1, resolution: int = 1):
-        extent = Fraction(extent)
+        extent = _rational(extent)
+        for name, count in zip(self.__match_args__[1:], (codim, width_points, resolution)):
+            if type(count) is not int:
+                raise TypeError(f"{name} must be an integer")
         if extent < 0:
             raise ValueError("extent must be nonnegative")
         if codim < 0:
@@ -77,10 +81,8 @@ class MeasurePiece(Record):
             raise ValueError("width_points must be >= 1")
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "width_points", width_points)
-        object.__setattr__(self, "resolution", resolution)
+        for name, value in zip(self.__match_args__, (extent, codim, width_points, resolution)):
+            object.__setattr__(self, name, value)
 
 
 def piece_measure(piece: MeasurePiece) -> GrossNumber:
@@ -90,4 +92,4 @@ def piece_measure(piece: MeasurePiece) -> GrossNumber:
 
 
 def total_measure(pieces: Iterable[MeasurePiece]) -> GrossNumber:
-    return sum((piece_measure(p) for p in pieces), ZERO)
+    return GrossNumber.from_terms(t for p in pieces for t in piece_measure(p).terms)

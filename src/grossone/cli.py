@@ -160,7 +160,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if contains_variable(tree) and args.at is None:
         print("usage-error: expression contains 'x'; provide --at NUMERAL", file=sys.stderr)
         return 2
-    point = GrossNumber.from_rational(0) if args.at is None else parse(args.at, args.depth)
+    point = 0 if args.at is None else parse(args.at, args.depth)
     return _print_result(args, *eval_at(tree, point, args.min_power))
 
 
@@ -244,7 +244,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             tree = parse_expr(line)
             if contains_variable(tree):
                 raise ParseError("the repl evaluates closed expressions; 'x' is not bound", 0)
-            value, exact = eval_at(tree, GrossNumber.from_rational(0), args.min_power)
+            value, exact = eval_at(tree, 0, args.min_power)
             suffix = "" if exact else "  (inexact)"
             print(f"{_render(args, value)}{suffix}")
         except (GrossoneError, ValueError) as exc:
@@ -292,12 +292,6 @@ def _rational_field(value, where: str):
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _int_field(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer")
-    return value
-
-
 def _system_from_json(data) -> LinearSystem:
     if not isinstance(data, dict) or "A" not in data or "b" not in data:
         raise SchemaError('system file must be a JSON object with keys "A" and "b"')
@@ -327,9 +321,9 @@ def _piece_from_json(index: int, data) -> MeasurePiece:
     try:
         return MeasurePiece(
             extent=_rational_field(data["extent"], f"piece {index}: extent"),
-            codim=_int_field(data["codim"], f"piece {index}: codim"),
-            width_points=_int_field(data.get("width_points", 1), f"piece {index}: width_points"),
-            resolution=_int_field(data.get("resolution", 1), f"piece {index}: resolution"),
+            codim=data["codim"],
+            width_points=data.get("width_points", 1),
+            resolution=data.get("resolution", 1),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"piece {index}: {exc}") from exc

@@ -97,8 +97,8 @@ class GrossNumber:
 
     @classmethod
     def from_rational(cls, value: RationalLike) -> "GrossNumber":
-        value = Fraction(value)
-        if value == 0:
+        value = _rational(value)
+        if not value:
             return ZERO
         return cls((GrossTerm(value, ZERO),))
 
@@ -116,13 +116,12 @@ class GrossNumber:
         """
         checked = []
         for digit, power in pairs:
-            if not isinstance(power, GrossNumber):
-                power = cls.from_rational(power)
+            power = _operand(power)
             if nesting_depth(power) > depth_limit:
                 raise DepthExceeded(
                     f"grosspower nests {nesting_depth(power)} levels; limit is {depth_limit}"
                 )
-            checked.append((digit if type(digit) is Fraction else Fraction(digit), power))
+            checked.append((_rational(digit), power))
         return cls(_normalize(checked))
 
     # -- classification ------------------------------------------------
@@ -335,13 +334,19 @@ def _coerce(value) -> "GrossNumber":
 
 def _operand(value) -> "GrossNumber":
     """_coerce for the module functions: a TypeError where operators defer."""
-    coerced = _coerce(value)
-    if coerced is NotImplemented:
-        raise TypeError(
-            f"unsupported operand type {type(value).__name__!r}; "
-            "expected GrossNumber, int or Fraction"
-        )
-    return coerced
+    return value if isinstance(value, GrossNumber) else GrossNumber.from_rational(value)
+
+
+def _rational(value) -> Fraction:
+    """The one input conversion: an int or Fraction as a Fraction, else TypeError."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(
+        f"unsupported operand type {type(value).__name__!r}; "
+        "expected GrossNumber, int or Fraction"
+    )
 
 
 def _normalize(pairs) -> Tuple[GrossTerm, ...]:

@@ -11,7 +11,9 @@ import operator
 from fractions import Fraction
 from typing import Tuple
 
-from .core import DEFAULT_MIN_POWER, G, ONE, GrossNumber, Record, _budgeted_product, divide
+from .core import (
+    DEFAULT_MIN_POWER, G, ONE, GrossNumber, Record, _budgeted_product, _operand, divide
+)
 from .errors import InexactSum, ParseError
 from .notation import _Cursor
 
@@ -180,6 +182,7 @@ def eval_at(
     division with the ``min_power`` cutoff; the flag is False when any step
     was truncated.  DivisionByZero signals a true pole at this point.
     """
+    value = _operand(value)
     exact = True
 
     def go(n: Expr) -> GrossNumber:
@@ -223,4 +226,4 @@ def eval_sum(closed_form: Expr, items: GrossNumber) -> GrossNumber:
 
 def eval_alternating(items: GrossNumber) -> GrossNumber:
     """Sum 1 - 1 + 1 - ... with the given (finite or infinite) item count."""
-    return GrossNumber.from_rational(0 if items.is_even() else 1)
+    return GrossNumber.from_rational(0 if _operand(items).is_even() else 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from .core import G, ZERO, GrossNumber, Record, divide
+from .core import G, ZERO, GrossNumber, Record, _rational, divide
 from .errors import InexactSolution, SingularSystem
 
 _INV_G = G**-1
@@ -24,8 +24,8 @@ class LinearSystem(Record):
     __slots__ = __match_args__ = ("a", "b")
 
     def __init__(self, a: Tuple[Tuple[Fraction, ...], ...], b: Tuple[Fraction, ...]):
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in a)
-        rhs = tuple(x if type(x) is Fraction else Fraction(x) for x in b)
+        rows = tuple(tuple(map(_rational, row)) for row in a)
+        rhs = tuple(map(_rational, b))
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("coefficient matrix must be square and non-empty")
         if len(rhs) != len(rows):

@@ -57,6 +57,7 @@ def test_finite_point_counts_at_higher_resolution():
     for m in (1, 2, 7):
         assert event_probability(gn(m), G**2) == m * G**-2
         assert event_probability(gn(m), G**2) > ZERO
+    assert event_probability(1, 4) == F(1, 4)
 
 
 def test_certain_event():
@@ -149,22 +150,28 @@ def test_finite_part_is_the_classical_measure():
 
 
 def test_piece_validation():
-    for args, message in [
-        ((-1, 0), "extent must be nonnegative"),
-        ((1, -1), "codim must be nonnegative"),
-        ((1, 0, 0), "width_points must be >= 1"),
-        ((1, 0, 1, 0), "resolution must be >= 1"),
+    for args, error, message in [
+        ((-1, 0), ValueError, "extent must be nonnegative"),
+        ((1, -1), ValueError, "codim must be nonnegative"),
+        ((1, 0, 0), ValueError, "width_points must be >= 1"),
+        ((1, 0, 1, 0), ValueError, "resolution must be >= 1"),
+        ((1, 1.5), TypeError, "codim must be an integer"),
+        ((1, True), TypeError, "codim must be an integer"),
     ]:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             MeasurePiece(*args)
 
 
 def test_piece_is_an_immutable_record():
     piece = MeasurePiece(1, 2)
     assert piece == MeasurePiece(extent=1, codim=2, width_points=1, resolution=1)
-    assert type(piece.extent) is F and MeasurePiece("3/2", 0).extent == F(3, 2)
+    assert type(piece.extent) is F
+    # The extent is an int or a Fraction, as numerals take; text is refused.
+    for text in ("3/2", "1.5"):
+        with pytest.raises(TypeError, match="'str'"):
+            MeasurePiece(text, codim=1, width_points=3)
     assert_record_contract(
-        MeasurePiece(F(3, 2), 1, 3), MeasurePiece("1.5", codim=1, width_points=3)
+        MeasurePiece(F(3, 2), 1, 3), MeasurePiece(F(3, 2), codim=1, width_points=3)
     )
     assert repr(MeasurePiece(F(3, 2), 1, 3)) == (
         "MeasurePiece(extent=Fraction(3, 2), codim=1, width_points=3, resolution=1)"

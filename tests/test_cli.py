@@ -326,6 +326,8 @@ def test_measure_volume_figure(tmp_path, capsys):
         '[{"extent": "1", "codim": 0, "width_points": true}]',
         '[{"extent": "1", "codim": 0, "width_points": 0}]',
         '[{"extent": "1", "codim": 0, "resolution": 0}]',
+        '[{"extent": "1", "codim": 1.5}]',
+        '[{"extent": "1", "codim": "2"}]',
     ],
 )
 def test_measure_schema_errors(tmp_path, capsys, payload):
@@ -510,6 +512,23 @@ def test_power_budget_ends_large_powers(tmp_path, argv, pieces_json, code, out):
     assert (result.returncode, result.stdout) == (code, out)
     if code:
         assert result.stderr.startswith("budget-exceeded:") and result.stderr.count("\n") == 1
+
+
+def test_measure_sums_many_pieces_in_one_pass(tmp_path):
+    # 20,000 distinct codims: summing with + copied the running total at every
+    # piece, for minutes; one normalization over all the terms takes seconds.
+    pieces = tmp_path / "pieces.json"
+    pieces.write_text(json.dumps([{"extent": "1", "codim": i} for i in range(20_000)]))
+    result = subprocess.run(
+        [sys.executable, "-m", "grossone", "measure", str(pieces)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        check=False,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("1 + 1*G^-1 + 1*G^-2 + ")
+    assert result.stdout.endswith(" + 1*G^-19999\n") and result.stdout.count("*G^-") == 19_999
 
 
 # -- module entry point ---------------------------------------------------------------

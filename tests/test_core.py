@@ -1,6 +1,7 @@
 """Arithmetic on grossone numerals: normalization, ring ops, division, parts."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +13,20 @@ from grossone import (
     BudgetExceeded,
     DepthExceeded,
     DivisionByZero,
+    GrossNumber,
     GrossTerm,
     InexactInverse,
+    LinearSystem,
+    MeasurePiece,
     NotIntegerValued,
     compare,
     core,
     divide,
+    eval_alternating,
+    eval_at,
+    event_probability,
     nesting_depth,
+    parse_expr,
 )
 from support import R, gn, gt, random_grossone, random_rational_powered, recomposition_holds
 
@@ -255,13 +263,32 @@ def test_divide_zero_dividend():
 
 
 @pytest.mark.parametrize(
-    "function,args",
-    [(compare, (G, 1.5)), (divide, (G, 1.5)), (divide, (1, G, 0.5))],
-    ids=["compare", "divide-divisor", "divide-cutoff"],
+    "function,args,foreign",
+    [
+        (compare, (G, 1.5), "float"),
+        (divide, (G, 1.5), "float"),
+        (divide, (1, G, 0.5), "float"),
+        (GrossNumber.from_rational, (0.1,), "float"),
+        (GrossNumber.from_terms, ([(0.1, 1)],), "float"),
+        (GrossNumber.from_terms, ([(1, 0.1)],), "float"),
+        (LinearSystem, ([[0.1]], [1]), "float"),
+        (MeasurePiece, (0.1, 0), "float"),
+        (eval_at, (parse_expr("x"), 0.1), "float"),
+        (event_probability, (0.1, G), "float"),
+        (eval_alternating, (0.1,), "float"),
+        (GrossNumber.from_rational, ("1/3",), "str"),
+        (LinearSystem, ([[1]], [Decimal("0.1")]), "Decimal"),
+    ],
+    ids=[
+        "compare", "divide-divisor", "divide-cutoff", "from_rational", "from_terms-digit",
+        "from_terms-power", "LinearSystem", "MeasurePiece", "eval_at", "event_probability",
+        "eval_alternating", "from_rational-str", "LinearSystem-Decimal",
+    ],
 )
-def test_functions_reject_foreign_operands(function, args):
-    # As G + 1.5 and G < 1.5 do: a TypeError that names the operand's type.
-    with pytest.raises(TypeError, match="'float'"):
+def test_functions_reject_foreign_operands(function, args, foreign):
+    # As G + 1.5 and G < 1.5 do: every entry point takes GrossNumber, int or
+    # Fraction, and raises a TypeError that names any other operand's type.
+    with pytest.raises(TypeError, match=f"'{foreign}'; expected GrossNumber, int or Fraction"):
         function(*args)
 
 

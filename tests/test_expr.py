@@ -201,6 +201,7 @@ def test_eval_matches_rational_arithmetic():
         expected = 3 * r**4 - F(7, 2) * r**2 + r - 9
         value, exact = eval_at(tree, gn(r))
         assert exact and value == gn(expected)
+    assert eval_at(parse_expr("x*x"), 3) == (9, True)
 
 
 def test_eval_is_referentially_transparent():
@@ -243,6 +244,7 @@ def test_alternating_sum_by_parity():
     assert eval_alternating(gn(2)) == ZERO
     assert eval_alternating(G - 1) == ONE
     assert eval_alternating(gn(7)) == ONE
+    assert eval_alternating(3) == ONE
 
 
 def test_alternating_sum_needs_integer_count():
