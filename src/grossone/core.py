@@ -334,7 +334,10 @@ def _coerce(value) -> "GrossNumber":
 
 def _operand(value) -> "GrossNumber":
     """_coerce for the module functions: a TypeError where operators defer."""
-    return value if isinstance(value, GrossNumber) else GrossNumber.from_rational(value)
+    number = _coerce(value)
+    if number is NotImplemented:
+        raise _unsupported(value, "GrossNumber, int or Fraction")
+    return number
 
 
 def _rational(value) -> Fraction:
@@ -343,20 +346,19 @@ def _rational(value) -> Fraction:
         return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise TypeError(
-        f"unsupported operand type {type(value).__name__!r}; "
-        "expected GrossNumber, int or Fraction"
-    )
+    raise _unsupported(value, "int or Fraction")
+
+
+def _unsupported(value, accepted: str) -> TypeError:
+    return TypeError(f"unsupported operand type {type(value).__name__!r}; expected {accepted}")
 
 
 def _normalize(pairs) -> Tuple[GrossTerm, ...]:
     """Sum the (Fraction digit, grosspower) pairs into a normalized tuple."""
     groups: dict = {}  # grosspower -> digit sum
     for digit, power in pairs:
-        if power in groups:
-            groups[power] += digit
-        else:
-            groups[power] = digit
+        old = groups.get(power)
+        groups[power] = digit if old is None else old + digit
     kept = [p for p, d in groups.items() if d]
     kept.sort(key=_DESCENDING)
     return tuple(GrossTerm(groups[p], p) for p in kept)

@@ -18,6 +18,8 @@ token cursor here also serve ``expr``, whose grammar differs: there
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -36,8 +38,10 @@ MAX_NESTING = 200
 # conversion it would fail, and only after building 10**digits.
 MAX_DECIMAL_DIGITS = 4300
 
-_PUNCT = "+-*/^()"
-_DIGITS = "0123456789"
+# A literal of ASCII digits (a DEC with a "." and more digits), an operator,
+# a word, or any other non-space character, which is an error; finditer
+# skips exactly the characters str.isspace() accepts.
+_TOKEN = re.compile(r"([0-9]+(?:\.[0-9]+)?)|([-+*/^()])|(\w+)|(\S)")
 _NAMES = {"G": "G", "x": "VAR"}
 
 
@@ -55,45 +59,27 @@ def _scan(text: str) -> List[_Token]:
     literal past the interpreter's int conversion limit is a ParseError."""
     new = tuple.__new__  # half the cost of _Token's generated __new__
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            kind = "INT"
-            if j + 1 < n and text[j] == "." and text[j + 1] in _DIGITS:
-                kind = "DEC"
-                j += 2
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            literal = text[i:j]
+    for match in _TOKEN.finditer(text):
+        literal, punct, name, _ = match.groups()
+        i = match.start()
+        if literal:
+            kind = "DEC" if "." in literal else "INT"
             try:
                 value = int(literal) if kind == "INT" else Fraction(literal)
             except ValueError:
-                raise ParseError(f"numeric literal too long ({j - i} characters)", i) from None
+                too_long = f"numeric literal too long ({len(literal)} characters)"
+                raise ParseError(too_long, i) from None
             tokens.append(new(_Token, (kind, literal, i, value)))
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(new(_Token, (ch, ch, i, None)))
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
+        elif punct:
+            tokens.append(new(_Token, (punct, punct, i, None)))
+        elif name and (name[0].isalpha() or name[0] == "_"):
             kind = _NAMES.get(name)
             if kind is None:
                 raise ParseError(f"unknown name {name!r}; only 'x' and 'G' are defined", i)
             tokens.append(new(_Token, (kind, name, i, None)))
-            i = j
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(new(_Token, ("EOF", "", n, None)))
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+    tokens.append(new(_Token, ("EOF", "", len(text), None)))
     return tokens
 
 
@@ -267,7 +253,11 @@ def _render(value: GrossNumber, fmt: Callable[[Fraction], str]) -> str:
             prefix = "-" if term.digit < 0 else ""
         else:
             prefix = " - " if term.digit < 0 else " + "
-        out.append(prefix + _term_string(abs(term.digit), term.power, fmt))
+        try:
+            out.append(prefix + _term_string(abs(term.digit), term.power, fmt))
+        except ValueError:  # str() of an int past the interpreter's conversion limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a digit has more than {limit} decimal digits to print") from None
     return "".join(out)
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, error categories, repl."""
 
+import contextlib
 import io
 import json
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grossone.cli import main
 from support import INT_DIGIT_LIMIT, LOSSY_8X8
@@ -79,6 +82,20 @@ def test_eval_decimal_digits_at_the_bound(capsys):
     code, out, err = run_cli(capsys, "eval", "1/3", "--decimal", "4300")
     assert (code, err) == (0, "")
     assert out == "~0." + "3" * 4300 + "\nexact\n"
+
+
+def test_eval_depth_must_be_positive(capsys):
+    code, out, err = run_cli(capsys, "eval", "1", "--depth", "0")
+    assert (code, out) == (13, "")
+    assert err.startswith("value-error:") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no int digit limit")
+def test_eval_digit_too_long_to_print(capsys):
+    code, out, err = run_cli(capsys, "eval", "10^5000")
+    assert (code, out) == (13, "")
+    assert err == f"value-error: a digit has more than {INT_DIGIT_LIMIT} decimal digits to print\n"
+    assert "set_int_max_str_digits" not in err
 
 
 def test_eval_requires_at_for_variable(capsys):
@@ -216,6 +233,8 @@ def test_solve_missing_file(capsys):
         '{"b": ["1"]}',
         '{"A": [], "b": []}',
         '{"A": [["1", "2"], ["3"]], "b": ["1", "2"]}',
+        '{"A": 5, "b": [1]}',
+        '{"A": [[1]], "b": 5}',
         pytest.param(
             '{"A": [[' + "1" * (INT_DIGIT_LIMIT + 1) + ']], "b": [1]}',
             id="long-integer",
@@ -374,12 +393,17 @@ def test_repl_set_output_decimal(capsys, monkeypatch):
 
 def test_repl_errors_do_not_stop_the_loop(capsys, monkeypatch):
     code, out, err = run_repl(
-        capsys, monkeypatch, ["1 +", "34/(G - G)", "x + 1", ":set nope 1", "2 + 2", ":quit"]
+        capsys,
+        monkeypatch,
+        [
+            "1 +", "34/(G - G)", "x + 1", ":set nope 1", ":foo", ":set output fancy", "2 + 2",
+            ":quit",
+        ],
     )
     assert code == 0
     assert out == "4\n"
     categories = [line.split(":")[0] for line in err.strip().splitlines()]
-    assert categories == ["syntax-error", "division-by-zero", "syntax-error", "value-error"]
+    assert categories == ["syntax-error", "division-by-zero", "syntax-error"] + ["value-error"] * 3
 
 
 def test_repl_rejects_zero_decimal_digits(capsys, monkeypatch):
@@ -529,6 +553,44 @@ def test_measure_sums_many_pieces_in_one_pass(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.startswith("1 + 1*G^-1 + 1*G^-2 + ")
     assert result.stdout.endswith(" + 1*G^-19999\n") and result.stdout.count("*G^-") == 19_999
+
+
+# -- fuzz -------------------------------------------------------------------------------
+
+# The exit codes README.md documents.
+_DOCUMENTED_CODES = {0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15}
+# A digit, a numeric and a letter to Unicode that the grammar refuses, and a
+# no-break space that separates tokens as " " does.
+_ATOMS = st.one_of(
+    st.sampled_from(["x", "G", "1/3", "0.25"] * 2 + ["\u00b2", "\u0663", "\u00e9"]),
+    st.integers(0, 999999999).map(str),
+)
+_EXPONENTS = [-3, -1, 2, 5, 40, 1000, 100000, 10**6]
+_TEXTS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(" \u00a0"), st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]} {t[3]})"
+        ),
+        st.tuples(inner, st.sampled_from(_EXPONENTS)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=8,
+)
+# Points that do not start with "-", which argparse would read as a flag.
+_POINTS = ["0", "1", "3/2 - G", "G", "G^-1", "1000*G^2 + 1000*G^-1 + 1/3*G^(-G)", "G^(1/2) - 1"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TEXTS, st.sampled_from(_POINTS), st.sampled_from(["-3000", "-300", "-8", "0", "2"]))
+def test_eval_fuzz_ends_in_a_documented_exit(text, point, min_power):
+    # Deep cutoffs and large exponents end in a result or a typed error, each fast.
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", text, "--at", point, "--min-power", min_power])
+    assert time.perf_counter() - start < 5
+    assert code in _DOCUMENTED_CODES
+    assert err.getvalue().count("\n") <= 1
 
 
 # -- module entry point ---------------------------------------------------------------

@@ -262,34 +262,59 @@ def test_divide_zero_dividend():
     assert result.quotient == ZERO and result.remainder == ZERO
 
 
+_ANY = "GrossNumber, int or Fraction"
+_RATIONAL = "int or Fraction"  # a digit, an entry or an extent is never a numeral
+
+
 @pytest.mark.parametrize(
-    "function,args,foreign",
+    "function,args,foreign,accepted",
     [
-        (compare, (G, 1.5), "float"),
-        (divide, (G, 1.5), "float"),
-        (divide, (1, G, 0.5), "float"),
-        (GrossNumber.from_rational, (0.1,), "float"),
-        (GrossNumber.from_terms, ([(0.1, 1)],), "float"),
-        (GrossNumber.from_terms, ([(1, 0.1)],), "float"),
-        (LinearSystem, ([[0.1]], [1]), "float"),
-        (MeasurePiece, (0.1, 0), "float"),
-        (eval_at, (parse_expr("x"), 0.1), "float"),
-        (event_probability, (0.1, G), "float"),
-        (eval_alternating, (0.1,), "float"),
-        (GrossNumber.from_rational, ("1/3",), "str"),
-        (LinearSystem, ([[1]], [Decimal("0.1")]), "Decimal"),
+        (compare, (G, 1.5), "float", _ANY),
+        (divide, (G, 1.5), "float", _ANY),
+        (divide, (1, G, 0.5), "float", _ANY),
+        (GrossNumber.from_rational, (0.1,), "float", _RATIONAL),
+        (GrossNumber.from_terms, ([(0.1, 1)],), "float", _RATIONAL),
+        (GrossNumber.from_terms, ([(1, 0.1)],), "float", _ANY),
+        (LinearSystem, ([[0.1]], [1]), "float", _RATIONAL),
+        (MeasurePiece, (0.1, 0), "float", _RATIONAL),
+        (eval_at, (parse_expr("x"), 0.1), "float", _ANY),
+        (event_probability, (0.1, G), "float", _ANY),
+        (eval_alternating, (0.1,), "float", _ANY),
+        (GrossNumber.from_rational, ("1/3",), "str", _RATIONAL),
+        (LinearSystem, ([[1]], [Decimal("0.1")]), "Decimal", _RATIONAL),
+        (GrossNumber.from_rational, (G,), "GrossNumber", _RATIONAL),
+        (LinearSystem, ([[G]], [1]), "GrossNumber", _RATIONAL),
     ],
     ids=[
         "compare", "divide-divisor", "divide-cutoff", "from_rational", "from_terms-digit",
         "from_terms-power", "LinearSystem", "MeasurePiece", "eval_at", "event_probability",
-        "eval_alternating", "from_rational-str", "LinearSystem-Decimal",
+        "eval_alternating", "from_rational-str", "LinearSystem-Decimal", "from_rational-numeral",
+        "LinearSystem-numeral",
     ],
 )
-def test_functions_reject_foreign_operands(function, args, foreign):
-    # As G + 1.5 and G < 1.5 do: every entry point takes GrossNumber, int or
-    # Fraction, and raises a TypeError that names any other operand's type.
-    with pytest.raises(TypeError, match=f"'{foreign}'; expected GrossNumber, int or Fraction"):
+def test_functions_reject_foreign_operands(function, args, foreign, accepted):
+    # As G + 1.5 and G < 1.5 do: every entry point raises a TypeError that
+    # names any other operand's type and what its position accepts.
+    with pytest.raises(TypeError, match=f"'{foreign}'; expected {accepted}$"):
         function(*args)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [lambda: G + 0.5, lambda: 0.5 - G, lambda: G * "a", lambda: G < 0.5, lambda: G**0.5],
+    ids=["add", "rsub", "mul-str", "lt", "pow"],
+)
+def test_operators_refuse_foreign_operands(operation):
+    # Each operator defers with NotImplemented, so Python raises the TypeError.
+    with pytest.raises(TypeError):
+        operation()
+
+
+def test_operator_data_model():
+    assert (G == 0.5) is False
+    assert 1 - G == -G + 1
+    assert bool(ZERO) is False and bool(G) is True
+    assert repr(G) == "GrossNumber<G>"
 
 
 def test_divide_detects_unreachable_cutoff(monkeypatch):

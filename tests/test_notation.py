@@ -61,6 +61,7 @@ def test_parse_rational_digits_and_powers():
 def test_parse_whitespace_insensitive():
     assert parse(" - 7.1 * G ^ 12 ") == gt([(F("-7.1"), 12)])
     assert parse("G^- 1") == G**-1
+    assert parse("1\u00a0+\u3000\x1c2") == 3  # whitespace is whatever str.isspace() accepts
 
 
 def test_parse_unit_forms():
@@ -70,26 +71,41 @@ def test_parse_unit_forms():
     assert parse("G - G") == ZERO
 
 
+_PARSE_ERRORS = [
+    ("3 + ", 4, "digit expected"),
+    ("q", 0, "unknown name 'q'"),
+    ("3*G^", 4, "grosspower must be"),
+    ("3*", 2, "expected 'G'"),
+    ("(3)", 0, "digit expected"),
+    ("3/0", 2, "denominator must be a positive integer"),
+    ("G^3.5", 2, "grosspower must be"),
+    ("3..5", 1, "unexpected character '.'"),
+    ("1*G^(2", 6, "expected ')'"),
+    ("1 2", 2, "unexpected trailing input"),
+    # Unicode digits and numerics are not digits, and only a word that starts
+    # with a letter or "_" is a name.
+    ("²", 0, "unexpected character"),
+    ("٣", 0, "unexpected character"),
+    ("2٣", 1, "unexpected character '٣'"),
+    ("½", 0, "unexpected character"),
+    ("𝟘", 0, "unexpected character"),
+    ("\x00", 0, "unexpected character"),
+    ("x٣", 0, "unknown name 'x٣'"),
+    ("é", 0, "unknown name 'é'"),
+    ("_x", 0, "unknown name '_x'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,position",
-    [
-        ("3 + ", 4),
-        ("q", 0),
-        ("3*G^", 4),
-        ("3*", 2),
-        ("(3)", 0),
-        ("3/0", 2),
-        ("G^3.5", 2),
-        ("3..5", 1),
-        ("1*G^(2", 6),
-        ("1 2", 2),
-        ("²", 0),
-    ],
+    "text,position,message",
+    _PARSE_ERRORS,
+    ids=[f"{text}-{position}" for text, position, _ in _PARSE_ERRORS],
 )
-def test_parse_errors_carry_positions(text, position):
+def test_parse_errors_carry_positions(text, position, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == position
+    assert message in str(err.value)
 
 
 @pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this Python converts integers of any length")
@@ -163,6 +179,16 @@ def test_print_canonical_keeps_unit_digits_off_unit_powers():
 def test_print_canonical_rational_powers():
     assert print_canonical(gt([(1, F(84, 5))])) == "1*G^84/5"
     assert print_canonical(gt([(F(-7, 2), -2)])) == "-7/2*G^-2"
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="this Python converts integers of any length")
+@pytest.mark.parametrize("printer", [print_canonical, print_decimal])
+def test_printers_name_a_digit_too_long_to_print(printer):
+    message = f"a digit has more than {INT_DIGIT_LIMIT} decimal digits to print"
+    with pytest.raises(ValueError, match=message):
+        printer(gn(10**5000))
+    with pytest.raises(ValueError, match=message):
+        printer(gt([(1, 10**5000)]))  # in a grosspower too
 
 
 def test_round_trip_on_random_values():
