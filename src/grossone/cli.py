@@ -3,8 +3,8 @@
 Subcommands: eval, solve, sum, prob, measure, repl.  Numerals use the
 text grammar from the notation module; linear systems and measure pieces
 are read from JSON files.  Every failure prints a single
-``<category>: <message>`` line to stderr and exits with the category's
-code (see _ERROR_TABLE).
+``<category>: <message>`` line to stderr through _report and exits with
+the category's code (see _ERROR_TABLE).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .applications import MeasurePiece, event_probability, total_measure
 from .core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER, GrossNumber
@@ -33,7 +33,13 @@ from .expr import contains_variable, eval_alternating, eval_at, parse_expr
 from .linsolve import LinearSystem, solve_grossone
 from .notation import _decimal_digits, parse, parse_rational, print_canonical, print_decimal
 
+
+class _UsageError(Exception):
+    """A command line the parser or a subcommand refuses."""
+
+
 _ERROR_TABLE = [
+    (_UsageError, "usage-error", 2),
     (ParseError, "syntax-error", 3),
     (DivisionByZero, "division-by-zero", 4),
     (DepthExceeded, "depth-exceeded", 5),
@@ -50,10 +56,10 @@ _ERROR_TABLE = [
 
 
 class _SingleLineParser(argparse.ArgumentParser):
-    """Argument errors as one greppable line instead of a usage dump."""
+    """Argument errors raise _UsageError: one line, not a usage dump."""
 
     def error(self, message):
-        self.exit(2, f"usage-error: {message}\n")
+        raise _UsageError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,9 +125,8 @@ def _flag(*names: str, **options) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.depth < 1:
             raise ValueError("--depth must be >= 1")
         if args.decimal is not None:
@@ -136,19 +141,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }[args.command]
         return handler(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes by _ERROR_TABLE
-        category, code = _error_kind(exc)
-        if code is None:
-            raise
-        print(f"{category}: {exc}", file=sys.stderr)
-        return code
+        return _report(exc)
 
 
-def _error_kind(exc: Exception) -> Tuple[str, Optional[int]]:
-    """(category, exit code) of the first matching _ERROR_TABLE row, or ("error", None)."""
+def _report(exc: Exception) -> int:
+    """The one writer of the error line: ``category: message`` of the first
+    matching _ERROR_TABLE row, whose exit code it returns; else re-raise."""
     for exc_type, category, code in _ERROR_TABLE:
         if isinstance(exc, exc_type):
-            return category, code
-    return "error", None
+            print(f"{category}: {exc}", file=sys.stderr)
+            return code
+    raise exc
 
 
 def entry() -> None:
@@ -158,8 +161,7 @@ def entry() -> None:
 def _cmd_eval(args: argparse.Namespace) -> int:
     tree = parse_expr(args.expr)
     if contains_variable(tree) and args.at is None:
-        print("usage-error: expression contains 'x'; provide --at NUMERAL", file=sys.stderr)
-        return 2
+        raise _UsageError("expression contains 'x'; provide --at NUMERAL")
     point = 0 if args.at is None else parse(args.at, args.depth)
     return _print_result(args, *eval_at(tree, point, args.min_power))
 
@@ -168,12 +170,10 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     items = parse(args.items, args.depth)
     if args.alternating:
         if args.formula is not None:
-            print("usage-error: --alternating does not take a formula", file=sys.stderr)
-            return 2
+            raise _UsageError("--alternating does not take a formula")
         return _print_result(args, eval_alternating(items), True)
     if args.formula is None:
-        print("usage-error: provide a partial-sum formula or --alternating", file=sys.stderr)
-        return 2
+        raise _UsageError("provide a partial-sum formula or --alternating")
     return _print_result(args, *eval_at(parse_expr(args.formula), items, args.min_power))
 
 
@@ -237,10 +237,10 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             continue
         if line == ":quit":
             return 0
-        if line.startswith(":"):
-            _repl_directive(line, args)
-            continue
         try:
+            if line.startswith(":"):
+                _repl_directive(line, args)
+                continue
             tree = parse_expr(line)
             if contains_variable(tree):
                 raise ParseError("the repl evaluates closed expressions; 'x' is not bound", 0)
@@ -248,28 +248,25 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             suffix = "" if exact else "  (inexact)"
             print(f"{_render(args, value)}{suffix}")
         except (GrossoneError, ValueError) as exc:
-            print(f"{_error_kind(exc)[0]}: {exc}", file=sys.stderr)
+            _report(exc)
 
 
 def _repl_directive(line: str, args: argparse.Namespace) -> None:
     parts = line.split()
-    try:
-        if parts[0] != ":set" or len(parts) != 3:
-            raise ValueError(f"unknown directive {line!r}; try :set KEY VALUE or :quit")
-        key, value = parts[1], parts[2]
-        if key == "min_power":
-            args.min_power = int(value)
-        elif key == "output":
-            if value not in ("canonical", "decimal"):
-                raise ValueError("output must be 'canonical' or 'decimal'")
-            args.decimal = args.digits if value == "decimal" else None
-        elif key == "decimal_digits":
-            args.digits = _decimal_digits(int(value))
-            args.decimal = None if args.decimal is None else args.digits
-        else:
-            raise ValueError(f"unknown setting {key!r}")
-    except ValueError as exc:
-        print(f"value-error: {exc}", file=sys.stderr)
+    if parts[0] != ":set" or len(parts) != 3:
+        raise ValueError(f"unknown directive {line!r}; try :set KEY VALUE or :quit")
+    key, value = parts[1], parts[2]
+    if key == "min_power":
+        args.min_power = int(value)
+    elif key == "output":
+        if value not in ("canonical", "decimal"):
+            raise ValueError("output must be 'canonical' or 'decimal'")
+        args.decimal = args.digits if value == "decimal" else None
+    elif key == "decimal_digits":
+        args.digits = _decimal_digits(int(value))
+        args.decimal = None if args.decimal is None else args.digits
+    else:
+        raise ValueError(f"unknown setting {key!r}")
 
 
 def _load_json(path: str):

@@ -27,9 +27,9 @@ RationalLike = Union[int, Fraction]
 DEFAULT_DEPTH_LIMIT = 2
 DEFAULT_MIN_POWER = -8
 
-# Work budgets: the most term pairs one budgeted product or divide() call may
-# form, and the most digit bits a power or a budgeted product (as _digit_bits
-# counts them) or one quotient digit of divide() may build.
+# Work budgets, read only by _check_budget: the most term pairs one budgeted
+# product or divide() call may form, and the most bits (as _bits counts them)
+# a digit of a power, a budgeted product or a quotient may need.
 PRODUCT_TERM_BUDGET = 10_000
 DIGIT_BIT_BUDGET = 1 << 21
 
@@ -242,7 +242,7 @@ class GrossNumber:
     def __pow__(self, exponent: int) -> "GrossNumber":
         """A one-term numeral in closed form, (d*G^p)^e = d^e * G^(p*e); zero and
         multi-term numerals by square-and-multiply, for e >= 0 only.
-        BudgetExceeded past DIGIT_BIT_BUDGET or PRODUCT_TERM_BUDGET."""
+        BudgetExceeded past the budgets of _check_budget."""
         if not isinstance(exponent, int):
             return NotImplemented
         if len(self.terms) == 1:
@@ -364,23 +364,23 @@ def _normalize(pairs) -> Tuple[GrossTerm, ...]:
     return tuple(GrossTerm(groups[p], p) for p in kept)
 
 
+def _bits(digit: Fraction) -> int:
+    """ceil(log2) of the larger of numerator and denominator: the digit bits
+    that add up under products and scale under powers.  A digit of +-1 counts
+    0, as any power of it is free."""
+    return (max(abs(digit.numerator), digit.denominator) - 1).bit_length()
+
+
 def _digit_bits(number: GrossNumber) -> int:
-    """ceil(log2) of the largest numerator or denominator among the digits.
-
-    Bits add up under products and scale under powers, so this bounds the
-    digits a power builds.  A digit of +-1 counts 0: any power of it is free.
-    """
-    return max(
-        ((max(abs(t.digit.numerator), t.digit.denominator) - 1).bit_length() for t in number.terms),
-        default=0,
-    )
+    """The widest _bits among the digits of a numeral."""
+    return max((_bits(t.digit) for t in number.terms), default=0)
 
 
-def _check_budget(pairs: int, bits: int) -> None:
-    """BudgetExceeded before a product of ``pairs`` term pairs or a digit of
-    about ``bits`` bits is built past its budget."""
+def _check_budget(pairs: int, bits: int, what: str = "product") -> None:
+    """The one budget test: BudgetExceeded before ``what`` forms ``pairs``
+    term pairs or builds a digit of about ``bits`` bits past its budget."""
     if pairs > PRODUCT_TERM_BUDGET:
-        raise BudgetExceeded(f"product needs {pairs} term pairs; limit is {PRODUCT_TERM_BUDGET}")
+        raise BudgetExceeded(f"{what} needs {pairs} term pairs; limit is {PRODUCT_TERM_BUDGET}")
     if bits > DIGIT_BIT_BUDGET:
         raise BudgetExceeded(f"digits need about {bits} bits; limit is {DIGIT_BIT_BUDGET}")
 
@@ -447,9 +447,8 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     next quotient grosspower would fall below ``min_power`` (inexact);
     either way the recomposition identity holds exactly.
 
-    Division forms the term pairs of ``quotient * b``, so BudgetExceeded
-    ends one that passes PRODUCT_TERM_BUDGET pairs before the cutoff, or
-    whose quotient digit passes DIGIT_BIT_BUDGET bits.
+    Each step passes the term pairs of ``quotient * b`` and the new quotient
+    digit to _check_budget.
     """
     c = _operand(c)
     b = _operand(b)
@@ -472,11 +471,9 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
             # Every power left lies lower still: the rest is the remainder.
             remainder[power] = digit
             break
-        if (len(quotient) + 1) * len(b.terms) > PRODUCT_TERM_BUDGET:
-            limit = PRODUCT_TERM_BUDGET
-            raise BudgetExceeded(f"division needs over {limit} term pairs to reach the cutoff")
         digit /= lead_digit
-        _check_budget(0, max(digit.numerator.bit_length(), digit.denominator.bit_length()))
+        pairs = (len(quotient) + 1) * len(b.terms)
+        _check_budget(pairs, _bits(digit), "division short of its cutoff")
         # Popped powers strictly decrease, so the quotient stays normal.
         quotient.append(GrossTerm(digit, k))
         for t in tail:

@@ -16,12 +16,12 @@ class DivisionByZero(GrossoneError, ZeroDivisionError):
 class BudgetExceeded(GrossoneError):
     """A power, a product in an expression or a division would pass a budget.
 
-    ``core.DIGIT_BIT_BUDGET`` bounds the digit bits and
-    ``core.PRODUCT_TERM_BUDGET`` the term pairs of one product, or of
-    ``quotient * divisor`` for a division, so every power, every product
-    eval_at forms and every division ends in bounded time.  A division
-    past it has not reached its cutoff: one far below the dividend, as in
-    1/(G+1) down to G^-20000, or one that infinite grosspowers never reach.
+    ``core._check_budget`` is the one test: it bounds the term pairs and the
+    digit bits of every power, every product eval_at forms and every
+    division step, so each ends in bounded time.  A division refused for
+    its term pairs has not reached its cutoff: one far below the dividend,
+    as in 1/(G+1) down to G^-20000, or one that infinite grosspowers never
+    reach.
     """
 
 

@@ -1,4 +1,4 @@
-"""Gauss-Jordan elimination without row interchange.
+"""Gaussian elimination without row interchange, then back-substitution.
 
 A pivot that is exactly zero is replaced by the infinitesimal G**-1 and
 elimination proceeds; quotients are truncated below G**-z where z counts

@@ -437,9 +437,7 @@ def test_repl_exits_cleanly_on_eof(capsys, monkeypatch):
 
 
 def test_argparse_errors_are_single_line(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["eval", "1", "--min-power", "oops"])
-    assert exit_info.value.code == 2
+    assert main(["eval", "1", "--min-power", "oops"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage-error:") and err.count("\n") == 1
     # A subcommand takes only the flags it reads.
@@ -451,9 +449,7 @@ def test_argparse_errors_are_single_line(capsys):
         ("measure", "--depth"),
         ("repl", "--depth"),
     ]:
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, flag, "3"] + ([] if command == "repl" else ["f.json"]))
-        assert exit_info.value.code == 2
+        assert main([command, flag, "3"] + ([] if command == "repl" else ["f.json"])) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage-error:") and err.count("\n") == 1
 

@@ -191,11 +191,22 @@ def test_pow_budgets(monkeypatch):
 
 
 def test_divide_digit_budget(monkeypatch):
-    # 1/(G + 256) emits digits (-256)^k, of 8k + 1 bits.
+    # 1/(G + 256) emits digits (-256)^k, which take 8k bits.
     monkeypatch.setattr(core, "DIGIT_BIT_BUDGET", 20)
     assert divide(1, G + 256, -3).quotient == G**-1 - 256 * G**-2 + 65536 * G**-3
-    with pytest.raises(BudgetExceeded, match="25 bits; limit is 20"):
+    with pytest.raises(BudgetExceeded, match="24 bits; limit is 20"):
         divide(1, G + 256, -4)
+
+
+def test_divide_counts_digit_bits_as_pow_does(monkeypatch):
+    # One measure for every digit: 2^20 takes 20 bits, as a quotient digit
+    # and as a power alike.
+    monkeypatch.setattr(core, "DIGIT_BIT_BUDGET", 20)
+    assert gn(2) ** 20 == 2**20
+    result = divide(2**20, 1)
+    assert result.quotient == 2**20 and result.exact
+    with pytest.raises(BudgetExceeded, match="21 bits; limit is 20"):
+        divide(2**21, 1)
 
 
 # -- comparison ----------------------------------------------------------------
