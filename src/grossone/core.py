@@ -5,6 +5,8 @@ infinite unit, digits are exact rationals, and each power is itself a
 grossone numeral of bounded nesting depth.  Zero is the empty sum.  Term
 lists are kept normalized (powers strictly decreasing, no zero digits),
 so two values are equal exactly when their term tuples are identical.
+``*`` and divide() run on ints scaled by the lcm of the power denominators
+when every grosspower is rational; nested grosspowers take the general path.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
@@ -234,6 +237,9 @@ class GrossNumber:
             # decreasing, and nonzero digits multiply to nonzero digits.
             d, p = a[0].digit, a[0].power
             return GrossNumber(tuple(GrossTerm(d * t.digit, p + t.power) for t in b))
+        scaled = _scaled_powers(a, b)
+        if scaled:
+            return _scaled_product(a, b, *scaled)
         pairs = [(ta.digit * tb.digit, ta.power + tb.power) for ta in a for tb in b]
         return GrossNumber(_normalize(pairs))
 
@@ -364,6 +370,43 @@ def _normalize(pairs) -> Tuple[GrossTerm, ...]:
     return tuple(GrossTerm(groups[p], p) for p in kept)
 
 
+def _scaled_powers(*term_tuples):
+    """(scale, int powers per term tuple), each grosspower its int over the lcm
+    of their denominators; None when one nests.  This alone picks the kernel."""
+    rows = []
+    for terms in term_tuples:
+        row = []
+        for _, power in terms:
+            p = power.terms
+            if p and (len(p) > 1 or p[0].power.terms):
+                return None
+            row.append(p[0].digit if p else 0)
+        rows.append(row)
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+
+def _power(k: int, scale: int) -> "GrossNumber":
+    """The grosspower numeral k/scale."""
+    return GrossNumber((GrossTerm(Fraction(k, scale), ZERO),)) if k else ZERO
+
+
+def _scaled_product(a, b, scale, powers) -> "GrossNumber":
+    """a * b for term tuples of rational grosspowers: ints scaled by the
+    common digit denominator of each operand, convolved on int powers."""
+    pa, pb = powers
+    da = lcm(*(t.digit.denominator for t in a))
+    db = lcm(*(t.digit.denominator for t in b))
+    na = [t.digit.numerator * (da // t.digit.denominator) for t in a]
+    nb = [t.digit.numerator * (db // t.digit.denominator) for t in b]
+    sums: dict = {}  # int power -> int digit over da * db
+    for ka, xa in zip(pa, na):
+        for kb, xb in zip(pb, nb):
+            sums[ka + kb] = sums.get(ka + kb, 0) + xa * xb
+    return GrossNumber(tuple(GrossTerm(Fraction(sums[k], da * db), _power(k, scale))
+                             for k in sorted(sums, reverse=True) if sums[k]))
+
+
 def _bits(digit: Fraction) -> int:
     """ceil(log2) of the larger of numerator and denominator: the digit bits
     that add up under products and scale under powers.  A digit of +-1 counts
@@ -448,13 +491,19 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     either way the recomposition identity holds exactly.
 
     Each step passes the term pairs of ``quotient * b`` and the new quotient
-    digit to _check_budget.
+    digit to _check_budget.  With rational grosspowers the steps run on ints.
     """
     c = _operand(c)
     b = _operand(b)
     min_power = _operand(min_power)
     if not b.terms:
         raise DivisionByZero("division by zero")
+    # The cutoff joins the scale as the power of G**min_power.  One monomial over
+    # another is one step, where the general path has less to set up.
+    monomials = len(c.terms) * len(b.terms) < 2
+    scaled = not monomials and _scaled_powers(c.terms, b.terms, ((1, min_power),))
+    if scaled:
+        return _scaled_divide(c.terms, b.terms, *scaled)
     from heapq import heappop, heappush  # here, so `import grossone` does not load _heapq
     lead_digit, neg_lead_power, tail = b.terms[0].digit, -b.terms[0].power, b.terms[1:]
     remainder = {t.power: t.digit for t in c.terms}  # grosspower -> digit
@@ -484,6 +533,39 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
                 remainder[p] = -digit * t.digit
                 heappush(heap, _DESCENDING(p))
     rest = _normalize((d, p) for p, d in remainder.items())
+    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(rest))
+
+
+def _scaled_divide(c, b, scale, powers) -> DivisionResult:
+    """divide() on term tuples of rational grosspowers, given as ints over
+    ``scale``: the remainder is keyed on them and the heap holds them negated."""
+    from heapq import heappop, heappush
+    pc, pb, (cutoff,) = powers
+    lead_digit, lead = b[0].digit, pb[0]
+    tail = [(p - lead, t.digit) for p, t in zip(pb[1:], b[1:])]
+    remainder = {p: t.digit for p, t in zip(pc, c)}  # int power -> digit
+    heap = [-p for p in pc]  # c's powers descend, so negated they form a heap
+    quotient: list = []
+    while heap:
+        power = -heappop(heap)
+        digit = remainder.pop(power)
+        if not digit:
+            continue
+        if power - lead < cutoff:
+            remainder[power] = digit
+            break
+        digit /= lead_digit
+        _check_budget((len(quotient) + 1) * len(b), _bits(digit), "division short of its cutoff")
+        quotient.append(GrossTerm(digit, _power(power - lead, scale)))
+        for offset, d in tail:
+            p = power + offset
+            if p in remainder:
+                remainder[p] -= digit * d
+            else:
+                remainder[p] = -digit * d
+                heappush(heap, -p)
+    rest = tuple(GrossTerm(remainder[p], _power(p, scale))
+                 for p in sorted(remainder, reverse=True) if remainder[p])
     return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(rest))
 
 

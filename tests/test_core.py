@@ -1,8 +1,10 @@
 """Arithmetic on grossone numerals: normalization, ring ops, division, parts."""
 
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -360,6 +362,87 @@ def test_division_work_grows_with_quotient_times_divisor():
     expected = tuple(R.from_laurent(part) for part in R.laurent_divide(*laurent, -2000)[:2])
     assert (R.from_package(q), R.from_package(r)) == expected
     assert len(q.terms) == 2001
+
+
+# -- products and divisions on scaled int powers --------------------------------
+
+# Rational grosspowers in halves, thirds and fifths, 0 included.
+_KERNEL_POWERS = sorted({F(k, d) for d in (2, 3, 5) for k in range(-15, 16)})
+
+
+def kernel_operand(rng: random.Random, max_terms: int) -> GrossNumber:
+    powers = rng.sample(_KERNEL_POWERS, rng.randint(1, max_terms))
+    return gt([(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)), p) for p in powers])
+
+
+def laurent(x: GrossNumber) -> dict:
+    return R.to_laurent(R.from_package(x))
+
+
+def assert_is_reference(x: GrossNumber, poly: dict) -> None:
+    """``x`` is the reference Laurent polynomial term for term, and equal and
+    hashing equal to the numeral from_terms builds from it."""
+    assert R.from_package(x) == R.from_laurent(poly)
+    twin = gt([(d, p) for p, d in poly.items()])
+    assert x.terms == twin.terms and x == twin and hash(x) == hash(twin)
+
+
+def test_scaled_products_and_divisions_match_the_reference():
+    rng = random.Random(17)
+    root, third = gt([(1, F(1, 2))]), gt([(1, F(-1, 3))])
+    cases = [(G + 1, G - 1), (root + third, root - third)]  # products that cancel
+    cases += [(kernel_operand(rng, 60), kernel_operand(rng, 60)) for _ in range(10)]
+    for a, b in cases:
+        assert_is_reference(a * b, R.laurent_mul(laurent(a), laurent(b)))
+    for _ in range(15):
+        a, expected = kernel_operand(rng, 10), {F(0): F(1)}
+        for e in range(5):
+            assert_is_reference(a**e, expected)
+            expected = R.laurent_mul(expected, laurent(a))
+    for _ in range(30):
+        c, b = kernel_operand(rng, 60), kernel_operand(rng, 4)
+        cutoff = F(rng.randint(-12, 0), rng.choice((1, 1, 2, 3, 7)))
+        q, r = divide(c, b, cutoff)
+        expected_q, expected_r, _ = R.laurent_divide(laurent(c), laurent(b), cutoff)
+        assert_is_reference(q, expected_q)
+        assert_is_reference(r, expected_r)
+    for _ in range(25):
+        # A nested grosspower in one operand sends the product to the general path.
+        x, y = kernel_operand(rng, 8), random_grossone(rng) + gt([(2, G)])
+        assert R.from_package(x * y) == R.mul(R.from_package(x), R.from_package(y))
+
+
+def test_scaled_divisions_refuse_as_the_general_path_does(monkeypatch):
+    rng = random.Random(19)
+    monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 40)
+
+    def outcome(c, b, cutoff):
+        try:
+            return tuple(R.from_package(part) for part in divide(c, b, cutoff))
+        except BudgetExceeded as error:
+            return str(error)
+
+    # 1/(G+1) down to G^-20 forms 20 * 2 term pairs, the most the budget allows.
+    cases = [(ONE, G + 1, F(-20)), (ONE, G + 1, F(-21))]
+    cases += [
+        (kernel_operand(rng, 12), kernel_operand(rng, 4), F(rng.randint(-30, 0), rng.randint(1, 3)))
+        for _ in range(60)
+    ]
+    scaled = [outcome(*case) for case in cases]
+    assert len(scaled[0][0]) == 20
+    assert scaled[1] == "division short of its cutoff needs 42 term pairs; limit is 40"
+    # _scaled_powers alone picks the kernel: without it every division is general.
+    monkeypatch.setattr(core, "_scaled_powers", lambda *term_tuples: None)
+    assert [outcome(*case) for case in cases] == scaled
+    assert sum(isinstance(result, str) for result in scaled) >= 10
+
+
+def test_squaring_a_201_term_numeral_is_fast():
+    wide = (G + 1) ** 200
+    start = time.perf_counter()
+    square = wide * wide
+    assert time.perf_counter() - start < 0.25
+    assert [t.digit for t in square.terms] == [comb(400, k) for k in range(401)]
 
 
 # -- part extraction -------------------------------------------------------------
