@@ -5,15 +5,16 @@ infinite unit, digits are exact rationals, and each power is itself a
 grossone numeral of bounded nesting depth.  Zero is the empty sum.  Term
 lists are kept normalized (powers strictly decreasing, no zero digits),
 so two values are equal exactly when their term tuples are identical.
-``*`` and divide() run on ints scaled by the lcm of the power denominators
-when every grosspower is rational; nested grosspowers take the general path.
+``*`` and divide() run one routine each on power keys: ints scaled by the
+lcm of the power denominators when every grosspower is rational, else the
+power numerals themselves.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import insort
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, NamedTuple, Tuple, Union
 
@@ -117,15 +118,17 @@ class GrossNumber:
         terms sorted by descending grosspower.  Raises DepthExceeded when a
         grosspower nests more than ``depth_limit`` levels.
         """
-        checked = []
+        sums: dict = {}  # grosspower -> digit sum
         for digit, power in pairs:
             power = _operand(power)
             if nesting_depth(power) > depth_limit:
                 raise DepthExceeded(
                     f"grosspower nests {nesting_depth(power)} levels; limit is {depth_limit}"
                 )
-            checked.append((_rational(digit), power))
-        return cls(_normalize(checked))
+            digit = _rational(digit)
+            old = sums.get(power)
+            sums[power] = digit if old is None else old + digit
+        return cls(_normalize(sums, _same))
 
     # -- classification ------------------------------------------------
 
@@ -237,11 +240,20 @@ class GrossNumber:
             # decreasing, and nonzero digits multiply to nonzero digits.
             d, p = a[0].digit, a[0].power
             return GrossNumber(tuple(GrossTerm(d * t.digit, p + t.power) for t in b))
-        scaled = _scaled_powers(a, b)
-        if scaled:
-            return _scaled_product(a, b, *scaled)
-        pairs = [(ta.digit * tb.digit, ta.power + tb.power) for ta in a for tb in b]
-        return GrossNumber(_normalize(pairs))
+        # Digits as ints over each operand's common denominator, convolved
+        # on power keys.
+        (pa, pb), decode = _power_keys(a, b)
+        da = lcm(*(t.digit.denominator for t in a))
+        db = lcm(*(t.digit.denominator for t in b))
+        na = [t.digit.numerator * (da // t.digit.denominator) for t in a]
+        nb = [t.digit.numerator * (db // t.digit.denominator) for t in b]
+        sums: dict = {}  # power key -> int digit over da * db
+        for ka, xa in zip(pa, na):
+            for kb, xb in zip(pb, nb):
+                k = ka + kb
+                sums[k] = sums.get(k, 0) + xa * xb
+        dd = da * db
+        return GrossNumber(_normalize({k: Fraction(x, dd) for k, x in sums.items()}, decode))
 
     __rmul__ = __mul__
 
@@ -359,52 +371,37 @@ def _unsupported(value, accepted: str) -> TypeError:
     return TypeError(f"unsupported operand type {type(value).__name__!r}; expected {accepted}")
 
 
-def _normalize(pairs) -> Tuple[GrossTerm, ...]:
-    """Sum the (Fraction digit, grosspower) pairs into a normalized tuple."""
-    groups: dict = {}  # grosspower -> digit sum
-    for digit, power in pairs:
-        old = groups.get(power)
-        groups[power] = digit if old is None else old + digit
-    kept = [p for p, d in groups.items() if d]
-    kept.sort(key=_DESCENDING)
-    return tuple(GrossTerm(groups[p], p) for p in kept)
-
-
-def _scaled_powers(*term_tuples):
-    """(scale, int powers per term tuple), each grosspower its int over the lcm
-    of their denominators; None when one nests.  This alone picks the kernel."""
+def _power_keys(*term_tuples):
+    """(keys per term tuple, decode): a key adds and orders as its grosspower
+    does.  With every grosspower rational, a key is the power's int over the
+    lcm of their denominators; otherwise it is the power numeral itself.
+    decode(key) is the power numeral.  This alone picks the kind of key."""
     rows = []
     for terms in term_tuples:
         row = []
         for _, power in terms:
             p = power.terms
             if p and (len(p) > 1 or p[0].power.terms):
-                return None
+                return [[power for _, power in terms] for terms in term_tuples], _same
             row.append(p[0].digit if p else 0)
         rows.append(row)
     scale = lcm(*(v.denominator for row in rows for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+
+    def decode(k: int) -> GrossNumber:
+        return GrossNumber((GrossTerm(Fraction(k, scale), ZERO),)) if k else ZERO
+
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], decode
 
 
-def _power(k: int, scale: int) -> "GrossNumber":
-    """The grosspower numeral k/scale."""
-    return GrossNumber((GrossTerm(Fraction(k, scale), ZERO),)) if k else ZERO
+def _same(power: GrossNumber) -> GrossNumber:
+    return power
 
 
-def _scaled_product(a, b, scale, powers) -> "GrossNumber":
-    """a * b for term tuples of rational grosspowers: ints scaled by the
-    common digit denominator of each operand, convolved on int powers."""
-    pa, pb = powers
-    da = lcm(*(t.digit.denominator for t in a))
-    db = lcm(*(t.digit.denominator for t in b))
-    na = [t.digit.numerator * (da // t.digit.denominator) for t in a]
-    nb = [t.digit.numerator * (db // t.digit.denominator) for t in b]
-    sums: dict = {}  # int power -> int digit over da * db
-    for ka, xa in zip(pa, na):
-        for kb, xb in zip(pb, nb):
-            sums[ka + kb] = sums.get(ka + kb, 0) + xa * xb
-    return GrossNumber(tuple(GrossTerm(Fraction(sums[k], da * db), _power(k, scale))
-                             for k in sorted(sums, reverse=True) if sums[k]))
+def _normalize(sums: dict, decode) -> Tuple[GrossTerm, ...]:
+    """The one emitter: a dict of power key -> Fraction digit as a normalized
+    tuple, zero digits dropped, highest power first, each key decoded."""
+    return tuple(GrossTerm(sums[k], decode(k))
+                 for k in sorted((k for k, d in sums.items() if d), reverse=True))
 
 
 def _bits(digit: Fraction) -> int:
@@ -465,10 +462,6 @@ def _compare_terms(a, b) -> int:
     return 0
 
 
-# Sort key for grosspowers, highest first: orders term tuples and divide()'s heap.
-_DESCENDING = cmp_to_key(lambda p, q: _compare_terms(q.terms, p.terms))
-
-
 def nesting_depth(value: GrossNumber) -> int:
     """How many levels of grossone content a grosspower nests.
 
@@ -485,88 +478,49 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
 
     Each step divides the leading digits and subtracts that term times
     ``b``'s trailing terms from the remainder: a dict of digits keyed on
-    grosspower, with a max-heap of its powers, so a step costs ``b``'s
-    terms.  Emission stops when the remainder reaches zero (exact) or the
-    next quotient grosspower would fall below ``min_power`` (inexact);
-    either way the recomposition identity holds exactly.
+    power key (see _power_keys), with an ascending list of its keys, so a
+    step costs ``b``'s terms.  Emission stops when the remainder reaches zero
+    (exact) or the next quotient grosspower would fall below ``min_power``
+    (inexact); either way the recomposition identity holds exactly.
 
     Each step passes the term pairs of ``quotient * b`` and the new quotient
-    digit to _check_budget.  With rational grosspowers the steps run on ints.
+    digit to _check_budget.
     """
     c = _operand(c)
     b = _operand(b)
     min_power = _operand(min_power)
     if not b.terms:
         raise DivisionByZero("division by zero")
-    # The cutoff joins the scale as the power of G**min_power.  One monomial over
-    # another is one step, where the general path has less to set up.
-    monomials = len(c.terms) * len(b.terms) < 2
-    scaled = not monomials and _scaled_powers(c.terms, b.terms, ((1, min_power),))
-    if scaled:
-        return _scaled_divide(c.terms, b.terms, *scaled)
-    from heapq import heappop, heappush  # here, so `import grossone` does not load _heapq
-    lead_digit, neg_lead_power, tail = b.terms[0].digit, -b.terms[0].power, b.terms[1:]
-    remainder = {t.power: t.digit for t in c.terms}  # grosspower -> digit
-    # Each power in the dict is on the heap once; c's sorted powers form a heap.
-    heap = [_DESCENDING(t.power) for t in c.terms]
+    # The cutoff is keyed as the power of G**min_power.
+    (pc, pb, (cutoff,)), decode = _power_keys(c.terms, b.terms, ((1, min_power),))
+    lead_digit, neg_lead = b.terms[0].digit, -pb[0]
+    tail = [(p, t.digit) for p, t in zip(pb[1:], b.terms[1:])]  # (key, digit)
+    remainder = {p: t.digit for p, t in zip(pc, c.terms)}  # power key -> digit
+    # Each key in the dict is in pending once; pop() takes the highest.
+    pending = pc[::-1]
     quotient: list = []
-    while heap:
-        power = heappop(heap).obj
+    while pending:
+        power = pending.pop()
         digit = remainder.pop(power)
         if not digit:
             continue
-        k = power + neg_lead_power
-        if _compare_terms(k.terms, min_power.terms) < 0:
-            # Every power left lies lower still: the rest is the remainder.
+        k = power + neg_lead
+        if k < cutoff:
+            # Every key left lies lower still: the rest is the remainder.
             remainder[power] = digit
             break
         digit /= lead_digit
-        pairs = (len(quotient) + 1) * len(b.terms)
-        _check_budget(pairs, _bits(digit), "division short of its cutoff")
-        # Popped powers strictly decrease, so the quotient stays normal.
-        quotient.append(GrossTerm(digit, k))
-        for t in tail:
-            p = k + t.power
-            if p in remainder:
-                remainder[p] -= digit * t.digit
-            else:
-                remainder[p] = -digit * t.digit
-                heappush(heap, _DESCENDING(p))
-    rest = _normalize((d, p) for p, d in remainder.items())
-    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(rest))
-
-
-def _scaled_divide(c, b, scale, powers) -> DivisionResult:
-    """divide() on term tuples of rational grosspowers, given as ints over
-    ``scale``: the remainder is keyed on them and the heap holds them negated."""
-    from heapq import heappop, heappush
-    pc, pb, (cutoff,) = powers
-    lead_digit, lead = b[0].digit, pb[0]
-    tail = [(p - lead, t.digit) for p, t in zip(pb[1:], b[1:])]
-    remainder = {p: t.digit for p, t in zip(pc, c)}  # int power -> digit
-    heap = [-p for p in pc]  # c's powers descend, so negated they form a heap
-    quotient: list = []
-    while heap:
-        power = -heappop(heap)
-        digit = remainder.pop(power)
-        if not digit:
-            continue
-        if power - lead < cutoff:
-            remainder[power] = digit
-            break
-        digit /= lead_digit
-        _check_budget((len(quotient) + 1) * len(b), _bits(digit), "division short of its cutoff")
-        quotient.append(GrossTerm(digit, _power(power - lead, scale)))
-        for offset, d in tail:
-            p = power + offset
+        _check_budget((len(quotient) + 1) * len(b.terms), _bits(digit), "division short of its cutoff")
+        # Popped keys strictly decrease, so the quotient stays normal.
+        quotient.append(GrossTerm(digit, decode(k)))
+        for key, d in tail:
+            p = k + key
             if p in remainder:
                 remainder[p] -= digit * d
             else:
                 remainder[p] = -digit * d
-                heappush(heap, -p)
-    rest = tuple(GrossTerm(remainder[p], _power(p, scale))
-                 for p in sorted(remainder, reverse=True) if remainder[p])
-    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(rest))
+                insort(pending, p)
+    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(_normalize(remainder, decode)))
 
 
 def _is_nonnegative_integer(power: GrossNumber) -> bool:

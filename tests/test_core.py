@@ -364,7 +364,7 @@ def test_division_work_grows_with_quotient_times_divisor():
     assert len(q.terms) == 2001
 
 
-# -- products and divisions on scaled int powers --------------------------------
+# -- products and divisions on power keys ---------------------------------------
 
 # Rational grosspowers in halves, thirds and fifths, 0 included.
 _KERNEL_POWERS = sorted({F(k, d) for d in (2, 3, 5) for k in range(-15, 16)})
@@ -373,6 +373,10 @@ _KERNEL_POWERS = sorted({F(k, d) for d in (2, 3, 5) for k in range(-15, 16)})
 def kernel_operand(rng: random.Random, max_terms: int) -> GrossNumber:
     powers = rng.sample(_KERNEL_POWERS, rng.randint(1, max_terms))
     return gt([(F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)), p) for p in powers])
+
+
+# G**G: multiplying by it shifts every grosspower by G.
+GG = GrossNumber.from_terms([(1, G)])
 
 
 def laurent(x: GrossNumber) -> dict:
@@ -394,6 +398,7 @@ def test_scaled_products_and_divisions_match_the_reference():
     cases += [(kernel_operand(rng, 60), kernel_operand(rng, 60)) for _ in range(10)]
     for a, b in cases:
         assert_is_reference(a * b, R.laurent_mul(laurent(a), laurent(b)))
+        assert (a * GG) * b == (a * b) * GG  # numeral keys against int keys
     for _ in range(15):
         a, expected = kernel_operand(rng, 10), {F(0): F(1)}
         for e in range(5):
@@ -407,18 +412,18 @@ def test_scaled_products_and_divisions_match_the_reference():
         assert_is_reference(q, expected_q)
         assert_is_reference(r, expected_r)
     for _ in range(25):
-        # A nested grosspower in one operand sends the product to the general path.
+        # A nested grosspower in one operand keys every power on its numeral.
         x, y = kernel_operand(rng, 8), random_grossone(rng) + gt([(2, G)])
         assert R.from_package(x * y) == R.mul(R.from_package(x), R.from_package(y))
 
 
-def test_scaled_divisions_refuse_as_the_general_path_does(monkeypatch):
+def test_divisions_agree_on_int_and_numeral_power_keys(monkeypatch):
     rng = random.Random(19)
     monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 40)
 
     def outcome(c, b, cutoff):
         try:
-            return tuple(R.from_package(part) for part in divide(c, b, cutoff))
+            return divide(c, b, cutoff)
         except BudgetExceeded as error:
             return str(error)
 
@@ -428,13 +433,18 @@ def test_scaled_divisions_refuse_as_the_general_path_does(monkeypatch):
         (kernel_operand(rng, 12), kernel_operand(rng, 4), F(rng.randint(-30, 0), rng.randint(1, 3)))
         for _ in range(60)
     ]
-    scaled = [outcome(*case) for case in cases]
-    assert len(scaled[0][0]) == 20
-    assert scaled[1] == "division short of its cutoff needs 42 term pairs; limit is 40"
-    # _scaled_powers alone picks the kernel: without it every division is general.
-    monkeypatch.setattr(core, "_scaled_powers", lambda *term_tuples: None)
-    assert [outcome(*case) for case in cases] == scaled
-    assert sum(isinstance(result, str) for result in scaled) >= 10
+    results = [outcome(*case) for case in cases]
+    assert len(results[0].quotient.terms) == 20
+    assert results[1] == "division short of its cutoff needs 42 term pairs; limit is 40"
+    assert sum(isinstance(result, str) for result in results) >= 10
+    for (c, b, cutoff), result in zip(cases, results):
+        if not isinstance(result, str):
+            expected_q, expected_r, _ = R.laurent_divide(laurent(c), laurent(b), cutoff)
+            assert_is_reference(result.quotient, expected_q)
+            assert_is_reference(result.remainder, expected_r)
+            result = (result.quotient * GG, result.remainder * GG)
+        # Shifted by G**G every power nests, so its keys are numerals, not ints.
+        assert outcome(c * GG, b, cutoff + G) == result
 
 
 def test_squaring_a_201_term_numeral_is_fast():
