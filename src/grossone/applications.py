@@ -11,15 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, Record, _operand, _rational, divide
+from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, Record, _count, _operand, _rational, divide
 from .errors import InexactProbability
 
 
 def points_in_unit_interval(resolution: int) -> GrossNumber:
     """Number of points in [0, 1) when coordinates are i * G**-resolution."""
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    return G**resolution
+    return G ** _count(resolution, "resolution", 1)
 
 
 def points_on_line(resolution: int) -> GrossNumber:
@@ -27,9 +25,7 @@ def points_on_line(resolution: int) -> GrossNumber:
 
     Each of the G unit intervals per ray holds G**resolution points.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    return 2 * G ** (resolution + 1)
+    return 2 * G ** (_count(resolution, "resolution", 1) + 1)
 
 
 def event_probability(
@@ -70,18 +66,11 @@ class MeasurePiece(Record):
 
     def __init__(self, extent: Fraction, codim: int, width_points: int = 1, resolution: int = 1):
         extent = _rational(extent)
-        for name, count in zip(self.__match_args__[1:], (codim, width_points, resolution)):
-            if type(count) is not int:
-                raise TypeError(f"{name} must be an integer")
         if extent < 0:
             raise ValueError("extent must be nonnegative")
-        if codim < 0:
-            raise ValueError("codim must be nonnegative")
-        if width_points < 1:
-            raise ValueError("width_points must be >= 1")
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        for name, value in zip(self.__match_args__, (extent, codim, width_points, resolution)):
+        counts = (_count(codim, "codim"), _count(width_points, "width_points", 1),
+                  _count(resolution, "resolution", 1))
+        for name, value in zip(self.__match_args__, (extent, *counts)):
             object.__setattr__(self, name, value)
 
 

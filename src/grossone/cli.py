@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .applications import MeasurePiece, event_probability, total_measure
-from .core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER, GrossNumber
+from .core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER, GrossNumber, _count
 from .errors import (
     BudgetExceeded,
     DepthExceeded,
@@ -127,8 +127,7 @@ def _flag(*names: str, **options) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.depth < 1:
-            raise ValueError("--depth must be >= 1")
+        _count(args.depth, "--depth", 1)
         if args.decimal is not None:
             _decimal_digits(args.decimal)
         handler = {
@@ -311,16 +310,11 @@ def _system_from_json(data) -> LinearSystem:
 def _piece_from_json(index: int, data) -> MeasurePiece:
     if not isinstance(data, dict) or "extent" not in data or "codim" not in data:
         raise SchemaError(f'piece {index}: expected an object with "extent" and "codim"')
-    known = {"extent", "codim", "width_points", "resolution"}
-    unknown = set(data) - known
+    unknown = set(data).difference(MeasurePiece.__match_args__)
     if unknown:
         raise SchemaError(f"piece {index}: unknown keys {sorted(unknown)}")
     try:
-        return MeasurePiece(
-            extent=_rational_field(data["extent"], f"piece {index}: extent"),
-            codim=data["codim"],
-            width_points=data.get("width_points", 1),
-            resolution=data.get("resolution", 1),
-        )
+        extent = _rational_field(data["extent"], f"piece {index}: extent")
+        return MeasurePiece(**dict(data, extent=extent))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"piece {index}: {exc}") from exc

@@ -118,6 +118,7 @@ class GrossNumber:
         terms sorted by descending grosspower.  Raises DepthExceeded when a
         grosspower nests more than ``depth_limit`` levels.
         """
+        _count(depth_limit, "depth_limit")
         sums: dict = {}  # grosspower -> digit sum
         for digit, power in pairs:
             power = _operand(power)
@@ -367,6 +368,17 @@ def _rational(value) -> Fraction:
     raise _unsupported(value, "int or Fraction")
 
 
+def _count(value, name: str, least: int = 0, most: int | None = None) -> int:
+    """The one integer-argument check: ``value`` when it is an int (a bool is
+    not) from ``least`` to ``most``; else a TypeError or ValueError naming it."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer")
+    if value < least or most is not None and value > most:
+        bound = f">= {least}" if most is None else f"between {least} and {most}"
+        raise ValueError(f"{name} must be {bound}")
+    return value
+
+
 def _unsupported(value, accepted: str) -> TypeError:
     return TypeError(f"unsupported operand type {type(value).__name__!r}; expected {accepted}")
 
@@ -462,12 +474,13 @@ def _compare_terms(a, b) -> int:
     return 0
 
 
-def nesting_depth(value: GrossNumber) -> int:
+def nesting_depth(value) -> int:
     """How many levels of grossone content a grosspower nests.
 
     Plain rationals (and zero) have depth 0; G and 34.21*G have depth 1;
     G**(16.8*G) has depth 2.
     """
+    value = _operand(value)
     if all(not t.power.terms for t in value.terms):
         return 0
     return 1 + max(nesting_depth(t.power) for t in value.terms)

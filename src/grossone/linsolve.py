@@ -10,9 +10,9 @@ partial pivoting is included as an independent check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
-from .core import G, ZERO, GrossNumber, Record, _rational, divide
+from .core import G, GrossNumber, Record, _rational, divide
 from .errors import InexactSolution, SingularSystem
 
 _INV_G = G**-1
@@ -105,13 +105,14 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
                 f"solution component {i} has an infinite part; "
                 "the system has no finite solution"
             )
-    residual_lead: Optional[GrossNumber] = None
-    for row, rhs in zip(system.a, system.b):
-        component = sum((coeff * x for coeff, x in zip(row, xs)), ZERO) - rhs
-        if not component.is_zero():
-            lead = component.terms[0].power
-            if residual_lead is None or lead > residual_lead:
-                residual_lead = lead
+    # Each row of A*x - b as one numeral, built by one from_terms.
+    rows = [
+        GrossNumber.from_terms(
+            [(-rhs, 0)] + [(c * t.digit, t.power) for c, x in zip(row, xs) if c for t in x.terms]
+        )
+        for row, rhs in zip(system.a, system.b)
+    ]
+    residual_lead = max((r.terms[0].power for r in rows if r.terms), default=None)
     if residual_lead is not None and residual_lead.sign() >= 0:
         raise InexactSolution(
             f"residual has a term at grosspower {residual_lead}; "

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .core import DEFAULT_DEPTH_LIMIT, ONE, ZERO, GrossNumber
+from .core import DEFAULT_DEPTH_LIMIT, ONE, ZERO, GrossNumber, _count, _operand
 from .errors import ParseError
 
 # Deepest nesting either grammar accepts.  A numeral nests only through
@@ -216,17 +216,17 @@ def parse_rational(text: str) -> Fraction:
 # -- printing ----------------------------------------------------------------
 
 
-def print_canonical(value: GrossNumber) -> str:
+def print_canonical(value) -> str:
     """Deterministic text form that parses back to an equal value.
 
     Digits print as reduced rationals; grosspower 0 as a bare digit,
     grosspower 1 as ``G``; grosspowers with grossone content are
     parenthesized.  The unit terms +-1*G print as bare ``G``.
     """
-    return _render(value, str)
+    return _render(_operand(value), str)
 
 
-def print_decimal(value: GrossNumber, digits: int = 6) -> str:
+def print_decimal(value, digits: int = 6) -> str:
     """Display form with digits as decimals rounded to ``digits`` places.
 
     Exact when a digit's denominator divides a power of 10 within range,
@@ -234,14 +234,12 @@ def print_decimal(value: GrossNumber, digits: int = 6) -> str:
     round-trip in general.
     """
     _decimal_digits(digits)
-    return _render(value, lambda q: _decimal_string(q, digits))
+    return _render(_operand(value), lambda q: _decimal_string(q, digits))
 
 
 def _decimal_digits(digits: int) -> int:
-    """The one check on a digit count: print_decimal's and the CLI's."""
-    if not 1 <= digits <= MAX_DECIMAL_DIGITS:
-        raise ValueError(f"decimal digits must be between 1 and {MAX_DECIMAL_DIGITS}")
-    return digits
+    """The range of a digit count: print_decimal's and the CLI's."""
+    return _count(digits, "decimal digits", 1, MAX_DECIMAL_DIGITS)
 
 
 def _render(value: GrossNumber, fmt: Callable[[Fraction], str]) -> str:

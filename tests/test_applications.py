@@ -152,7 +152,7 @@ def test_finite_part_is_the_classical_measure():
 def test_piece_validation():
     for args, error, message in [
         ((-1, 0), ValueError, "extent must be nonnegative"),
-        ((1, -1), ValueError, "codim must be nonnegative"),
+        ((1, -1), ValueError, "codim must be >= 0"),
         ((1, 0, 0), ValueError, "width_points must be >= 1"),
         ((1, 0, 1, 0), ValueError, "resolution must be >= 1"),
         ((1, 1.5), TypeError, "codim must be an integer"),

@@ -28,7 +28,12 @@ from grossone import (
     eval_at,
     event_probability,
     nesting_depth,
+    parse,
     parse_expr,
+    points_in_unit_interval,
+    points_on_line,
+    print_canonical,
+    print_decimal,
 )
 from support import R, gn, gt, random_grossone, random_rational_powered, recomposition_holds
 
@@ -297,12 +302,15 @@ _RATIONAL = "int or Fraction"  # a digit, an entry or an extent is never a numer
         (LinearSystem, ([[1]], [Decimal("0.1")]), "Decimal", _RATIONAL),
         (GrossNumber.from_rational, (G,), "GrossNumber", _RATIONAL),
         (LinearSystem, ([[G]], [1]), "GrossNumber", _RATIONAL),
+        (print_canonical, ("3",), "str", _ANY),
+        (print_decimal, (0.5,), "float", _ANY),
+        (nesting_depth, (0.5,), "float", _ANY),
     ],
     ids=[
         "compare", "divide-divisor", "divide-cutoff", "from_rational", "from_terms-digit",
         "from_terms-power", "LinearSystem", "MeasurePiece", "eval_at", "event_probability",
         "eval_alternating", "from_rational-str", "LinearSystem-Decimal", "from_rational-numeral",
-        "LinearSystem-numeral",
+        "LinearSystem-numeral", "print_canonical", "print_decimal", "nesting_depth",
     ],
 )
 def test_functions_reject_foreign_operands(function, args, foreign, accepted):
@@ -310,6 +318,40 @@ def test_functions_reject_foreign_operands(function, args, foreign, accepted):
     # names any other operand's type and what its position accepts.
     with pytest.raises(TypeError, match=f"'{foreign}'; expected {accepted}$"):
         function(*args)
+
+
+def test_printers_and_nesting_depth_take_rationals():
+    # As compare(3, 1) and divide(3, 1) do.
+    assert print_canonical(3) == "3"
+    assert print_decimal(F(1, 4)) == "0.25"
+    assert nesting_depth(F(1, 2)) == 0 and nesting_depth(3) == 0
+
+
+@pytest.mark.parametrize(
+    "call,name,out_of_range",
+    [
+        (lambda n: MeasurePiece(1, n), "codim", -1),
+        (lambda n: MeasurePiece(1, 0, n), "width_points", 0),
+        (lambda n: MeasurePiece(1, 0, 1, n), "resolution", 0),
+        (points_in_unit_interval, "resolution", 0),
+        (points_on_line, "resolution", 0),
+        (lambda n: print_decimal(F(1, 3), n), "digits", 4301),
+        (lambda n: GrossNumber.from_terms([(1, G)], n), "depth_limit", -1),
+        (lambda n: parse("G", n), "depth_limit", -1),
+    ],
+    ids=[
+        "codim", "width_points", "resolution", "points_in_unit_interval", "points_on_line",
+        "print_decimal", "from_terms", "parse",
+    ],
+)
+def test_counts_take_only_ints_in_range(call, name, out_of_range):
+    # core._count is the one check: a bool is not a count, and a digit count
+    # of True is no longer mistaken for a digit too long to print.
+    for foreign in (True, 2.0, F(2), "2", None):
+        with pytest.raises(TypeError, match=f"{name} must be an integer$"):
+            call(foreign)
+    with pytest.raises(ValueError, match=f"{name} must be (>=|between)"):
+        call(out_of_range)
 
 
 @pytest.mark.parametrize(
