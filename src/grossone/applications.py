@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DEFAULT_MIN_POWER, G, ZERO, GrossNumber, Record, _count, _operand, _rational, divide
+from .core import DEFAULT_MIN_POWER, G, GrossNumber, Record, _count, _operand, _rational, divide
 from .errors import InexactProbability
 
 
@@ -44,8 +44,6 @@ def event_probability(
         raise ValueError("total event count must be positive")
     if favorable.sign() < 0 or favorable > total:
         raise ValueError("favorable count must satisfy 0 <= favorable <= total")
-    if favorable.is_zero():
-        return ZERO
     result = divide(favorable, total, min_power)
     if not result.exact:
         raise InexactProbability(

@@ -260,15 +260,11 @@ class GrossNumber:
 
     def __pow__(self, exponent: int) -> "GrossNumber":
         """A one-term numeral in closed form, (d*G^p)^e = d^e * G^(p*e); zero and
-        multi-term numerals by square-and-multiply, for e >= 0 only.
-        BudgetExceeded past the budgets of _check_budget."""
+        multi-term numerals by square-and-multiply, for e >= 0 only.  BudgetExceeded
+        first when the widest digit's bits times |e| pass _check_budget's budget."""
         if not isinstance(exponent, int):
             return NotImplemented
-        if len(self.terms) == 1:
-            _check_budget(1, _digit_bits(self) * abs(exponent))
-            d, p = self.terms[0]
-            return GrossNumber((GrossTerm(d**exponent, p * exponent),))
-        if exponent < 0:
+        if exponent < 0 and len(self.terms) != 1:
             if not self.terms:
                 raise DivisionByZero("cannot invert zero")
             # A multi-term numeral never has a terminating inverse: its product
@@ -278,6 +274,10 @@ class GrossNumber:
                 "inverse of a multi-term numeral does not terminate; "
                 "use divide() with an explicit cutoff"
             )
+        _check_budget(1, _digit_bits(self) * abs(exponent))
+        if len(self.terms) == 1:
+            d, p = self.terms[0]
+            return GrossNumber((GrossTerm(d**exponent, p * exponent),))
         result, base, e = ONE, self, exponent
         while e:
             if e & 1:
@@ -496,8 +496,8 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     (exact) or the next quotient grosspower would fall below ``min_power``
     (inexact); either way the recomposition identity holds exactly.
 
-    Each step passes the term pairs of ``quotient * b`` and the new quotient
-    digit to _check_budget.
+    Each step passes the term pairs of ``quotient * b`` and the summed _bits
+    of the quotient digits so far to _check_budget.
     """
     c = _operand(c)
     b = _operand(b)
@@ -512,6 +512,7 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     # Each key in the dict is in pending once; pop() takes the highest.
     pending = pc[::-1]
     quotient: list = []
+    bits = 0
     while pending:
         power = pending.pop()
         digit = remainder.pop(power)
@@ -523,7 +524,8 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
             remainder[power] = digit
             break
         digit /= lead_digit
-        _check_budget((len(quotient) + 1) * len(b.terms), _bits(digit), "division short of its cutoff")
+        bits += _bits(digit)
+        _check_budget((len(quotient) + 1) * len(b.terms), bits, "division short of its cutoff")
         # Popped keys strictly decrease, so the quotient stays normal.
         quotient.append(GrossTerm(digit, decode(k)))
         for key, d in tail:

@@ -17,11 +17,11 @@ class BudgetExceeded(GrossoneError):
     """A power, a product in an expression or a division would pass a budget.
 
     ``core._check_budget`` is the one test: it bounds the term pairs and the
-    digit bits of every power, every product eval_at forms and every
-    division step, so each ends in bounded time.  A division refused for
-    its term pairs has not reached its cutoff: one far below the dividend,
-    as in 1/(G+1) down to G^-20000, or one that infinite grosspowers never
-    reach.
+    digit bits of every power, forecast from the base before any work, every
+    product eval_at forms and every division, whose quotient digits' bits
+    add up, so each ends in bounded time.  A division refused for its term
+    pairs has not reached its cutoff: one far below the dividend, as in
+    1/(G+1) down to G^-20000, or one that infinite grosspowers never reach.
     """
 
 

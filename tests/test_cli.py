@@ -499,6 +499,7 @@ _FAR_BELOW = "1/3+(10-1/3+1)+-(0.25+" + "9" * 200 + ")/-x+0.25-10-7"
 _FAR_BELOW_AT = "1000*G^2 + 1000*G^-1 + 1/3*G^(-G)"
 # Gaps of 39.5 and 41 between this divisor's powers leave ~25,000 quotient powers to try.
 _FAR_TOTAL = "1/2*G^40 - 8/3*G^(1/2) + 2*G^-1"
+_WIDENING = "(--(999999999-0.25)/((-3^1000-x^2)+(2-G^-1)))"
 
 
 @pytest.mark.parametrize(
@@ -516,6 +517,9 @@ _FAR_TOTAL = "1/2*G^40 - 8/3*G^(1/2) + 2*G^-1"
         (["eval", _FAR_BELOW, "--at", _FAR_BELOW_AT, "--min-power", "-27000"], None, 15, ""),
         (["prob", "--favorable", "1", "--total", _FAR_TOTAL, "--min-power", "-9000"], None, 15, ""),
         (["eval", "1/(G+1)", "--min-power", "-20000"], None, 15, ""),
+        # Each quotient digit is about 1,585 bits (3^1000) wider than the last.
+        (["eval", _WIDENING, "--at", "3*G^-40", "--min-power", "-3000"], None, 15, ""),
+        (["sum", "(((999999999-G)*3^1000)/(0-G^-1)^5)^100000", "--items", "G"], None, 15, ""),
     ],
 )
 def test_power_budget_ends_large_powers(tmp_path, argv, pieces_json, code, out):
@@ -576,14 +580,15 @@ _TEXTS = st.recursive(
 _POINTS = ["0", "1", "3/2 - G", "G", "G^-1", "1000*G^2 + 1000*G^-1 + 1/3*G^(-G)", "G^(1/2) - 1"]
 
 
+@pytest.mark.parametrize("command,point_flag", [("eval", "--at"), ("sum", "--items")], ids=["eval", "sum"])
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_TEXTS, st.sampled_from(_POINTS), st.sampled_from(["-3000", "-300", "-8", "0", "2"]))
-def test_eval_fuzz_ends_in_a_documented_exit(text, point, min_power):
+def test_eval_fuzz_ends_in_a_documented_exit(command, point_flag, text, point, min_power):
     # Deep cutoffs and large exponents end in a result or a typed error, each fast.
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", text, "--at", point, "--min-power", min_power])
+        code = main([command, text, point_flag, point, "--min-power", min_power])
     assert time.perf_counter() - start < 5
     assert code in _DOCUMENTED_CODES
     assert err.getvalue().count("\n") <= 1

@@ -189,20 +189,27 @@ def test_pow_budgets(monkeypatch):
         gn(F(1, 2)) ** -21
     x = 2 * G + 3
     assert R.from_package(x**8) == R.power(R.from_package(x), 8)  # squares 8-bit digits
-    with pytest.raises(BudgetExceeded, match="34 bits; limit is 20"):
-        x**16  # squaring x^8, whose digits need 17 bits
+    with pytest.raises(BudgetExceeded, match="32 bits; limit is 20"):
+        x**16  # the forecast: 2-bit digits times 16, before any squaring
     monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 9)
     assert (G + 1) ** 4 == G**4 + 4 * G**3 + 6 * G**2 + 4 * G + 1  # 3x3 pairs
     with pytest.raises(BudgetExceeded, match="10 term pairs"):
         (G + 1) ** 5  # (G+1)^4 times G+1: 5x2 pairs
+    monkeypatch.undo()
+    # A two-term base with a 3^1000 digit: the forecast refuses it before any product.
+    wide = 3**1000 * G + 1
+    monkeypatch.setattr(core, "_budgeted_product", lambda a, b: pytest.fail("product formed"))
+    with pytest.raises(BudgetExceeded, match="158500000 bits"):
+        wide**100_000
 
 
 def test_divide_digit_budget(monkeypatch):
-    # 1/(G + 256) emits digits (-256)^k, which take 8k bits.
+    # 1/(G + 256) emits digits (-256)^k, which take 8k bits; the budget
+    # counts them summed: 0 + 8 + 16 = 24 bits to G^-3.
     monkeypatch.setattr(core, "DIGIT_BIT_BUDGET", 20)
-    assert divide(1, G + 256, -3).quotient == G**-1 - 256 * G**-2 + 65536 * G**-3
+    assert divide(1, G + 256, -2).quotient == G**-1 - 256 * G**-2
     with pytest.raises(BudgetExceeded, match="24 bits; limit is 20"):
-        divide(1, G + 256, -4)
+        divide(1, G + 256, -3)
 
 
 def test_divide_counts_digit_bits_as_pow_does(monkeypatch):
