@@ -5,9 +5,9 @@ infinite unit, digits are exact rationals, and each power is itself a
 grossone numeral of bounded nesting depth.  Zero is the empty sum.  Term
 lists are kept normalized (powers strictly decreasing, no zero digits),
 so two values are equal exactly when their term tuples are identical.
-``*`` and divide() run one routine each on power keys: ints scaled by the
-lcm of the power denominators when every grosspower is rational, else the
-power numerals themselves.
+``*`` and divide() run one routine each on int power keys: the powers
+scaled by the lcm of their denominators when every grosspower is rational,
+else each grosspower's digit vector over the sorted inner powers, packed.
 """
 
 from __future__ import annotations
@@ -384,17 +384,16 @@ def _unsupported(value, accepted: str) -> TypeError:
 
 
 def _power_keys(*term_tuples):
-    """(keys per term tuple, decode): a key adds and orders as its grosspower
-    does.  With every grosspower rational, a key is the power's int over the
-    lcm of their denominators; otherwise it is the power numeral itself.
-    decode(key) is the power numeral.  This alone picks the kind of key."""
+    """(keys per term tuple, decode): int keys that add and order as their grosspowers
+    do, decode(key) being the power numeral; each power over the lcm of the denominators
+    when every grosspower is rational, else _packed_keys.  This alone picks the kind."""
     rows = []
     for terms in term_tuples:
         row = []
         for _, power in terms:
             p = power.terms
             if p and (len(p) > 1 or p[0].power.terms):
-                return [[power for _, power in terms] for terms in term_tuples], _same
+                return _packed_keys(term_tuples)
             row.append(p[0].digit if p else 0)
         rows.append(row)
     scale = lcm(*(v.denominator for row in rows for v in row))
@@ -403,6 +402,32 @@ def _power_keys(*term_tuples):
         return GrossNumber((GrossTerm(Fraction(k, scale), ZERO),)) if k else ZERO
 
     return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], decode
+
+
+def _packed_keys(term_tuples):
+    """_power_keys once a grosspower nests: its digits over the sorted inner powers,
+    as ints over their lcm, packed as sum(v_i << shift*i).  Int order is compare's while
+    each digit a call forms fits under half the radix: 2*top in a product at most, and
+    top*(2Q + 3) in divide(), whose quotient terms Q <= PRODUCT_TERM_BUDGET."""
+    inner = [t for terms in term_tuples for _, power in terms for t in power.terms]
+    basis = sorted({t.power for t in inner})
+    index = {power: i for i, power in enumerate(basis)}
+    scale = lcm(*(t.digit.denominator for t in inner))
+    top = int(max(abs(t.digit) for t in inner) * scale)
+    shift = (2 * top * (PRODUCT_TERM_BUDGET + 3) + 1).bit_length() + 1
+    half, mask = 1 << (shift - 1), (1 << shift) - 1
+
+    def decode(k: int) -> GrossNumber:
+        terms, i = [], 0
+        while k:  # signed digits, lowest inner power first
+            v = ((k + half) & mask) - half
+            if v:
+                terms.append(GrossTerm(Fraction(v, scale), basis[i]))
+            k, i = (k - v) >> shift, i + 1
+        return GrossNumber(tuple(reversed(terms)))
+
+    return [[sum(t.digit.numerator * (scale // t.digit.denominator) << shift * index[t.power]
+                 for t in power.terms) for _, power in terms] for terms in term_tuples], decode
 
 
 def _same(power: GrossNumber) -> GrossNumber:
@@ -491,7 +516,7 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
 
     Each step divides the leading digits and subtracts that term times
     ``b``'s trailing terms from the remainder: a dict of digits keyed on
-    power key (see _power_keys), with an ascending list of its keys, so a
+    int power key (see _power_keys), with an ascending list of its keys, so a
     step costs ``b``'s terms.  Emission stops when the remainder reaches zero
     (exact) or the next quotient grosspower would fall below ``min_power``
     (inexact); either way the recomposition identity holds exactly.

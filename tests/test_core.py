@@ -426,6 +426,8 @@ def kernel_operand(rng: random.Random, max_terms: int) -> GrossNumber:
 
 # G**G: multiplying by it shifts every grosspower by G.
 GG = GrossNumber.from_terms([(1, G)])
+# G**(G**G), a grosspower that nests two levels.
+GGG = GrossNumber.from_terms([(1, GG)])
 
 
 def laurent(x: GrossNumber) -> dict:
@@ -447,7 +449,7 @@ def test_scaled_products_and_divisions_match_the_reference():
     cases += [(kernel_operand(rng, 60), kernel_operand(rng, 60)) for _ in range(10)]
     for a, b in cases:
         assert_is_reference(a * b, R.laurent_mul(laurent(a), laurent(b)))
-        assert (a * GG) * b == (a * b) * GG  # numeral keys against int keys
+        assert (a * GG) * b == (a * b) * GG  # packed keys against scaled ones
     for _ in range(15):
         a, expected = kernel_operand(rng, 10), {F(0): F(1)}
         for e in range(5):
@@ -461,12 +463,56 @@ def test_scaled_products_and_divisions_match_the_reference():
         assert_is_reference(q, expected_q)
         assert_is_reference(r, expected_r)
     for _ in range(25):
-        # A nested grosspower in one operand keys every power on its numeral.
+        # A nested grosspower in one operand packs every power's digit vector.
         x, y = kernel_operand(rng, 8), random_grossone(rng) + gt([(2, G)])
         assert R.from_package(x * y) == R.mul(R.from_package(x), R.from_package(y))
 
 
-def test_divisions_agree_on_int_and_numeral_power_keys(monkeypatch):
+def nested_operand(rng: random.Random, max_terms: int, depth: int = 3) -> GrossNumber:
+    """Grosspowers nesting up to ``depth`` levels, whose digits include
+    +-10**30 and negatives, so packed digits fill and borrow across the radix."""
+
+    def power(level: int) -> GrossNumber:
+        if not level or rng.random() < 0.3:
+            return gn(F(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+        digits = (rng.randint(-9, 9) or 1, rng.choice((-1, 1)) * 10**30 + rng.randint(-3, 3))
+        return gt([(F(rng.choice(digits), rng.randint(1, 3)), power(level - 1))
+                   for _ in range(rng.randint(1, 3))], depth_limit=3)
+
+    return gt([(F(rng.randint(-9, 9) or 1, rng.randint(1, 4)), power(depth))
+               for _ in range(rng.randint(1, max_terms))], depth_limit=3)
+
+
+def test_packed_power_keys_match_the_reference(monkeypatch):
+    rng = random.Random(23)
+    for _ in range(30):
+        a, b = nested_operand(rng, 6), nested_operand(rng, 4)
+        assert R.from_package(a * b) == R.mul(R.from_package(a), R.from_package(b))
+        # Exact at a cutoff at or below a's lowest power: the quotient is a.
+        assert divide(a * b, b, min(a.terms[-1].power, gn(-10**12))) == (a, ZERO)
+    for _ in range(10):
+        a, e = nested_operand(rng, 3), rng.randint(0, 3)
+        assert R.from_package(a**e) == R.power(R.from_package(a), e)
+    monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 40)
+    # Step m's quotient power is -G - m: its digit at G^0 outgrows every input
+    # digit, and the budget, not a wrapped key, ends the division.
+    with pytest.raises(BudgetExceeded, match="needs 42 term pairs"):
+        divide(1, gt([(1, G), (1, G - 1)]), -2 * G)
+    refused = 0
+    for _ in range(40):
+        c, b = nested_operand(rng, 6), nested_operand(rng, 3)
+        cutoff = rng.choice((gn(rng.randint(-6, 0)), rng.randint(1, 3) * -G + rng.randint(-3, 3)))
+        try:
+            q, r = divide(c, b, cutoff)
+        except BudgetExceeded:
+            refused += 1
+            continue
+        expected = R.divide(R.from_package(c), R.from_package(b), R.from_package(cutoff))
+        assert (R.from_package(q), R.from_package(r)) == expected[:2]
+    assert 0 < refused < 40
+
+
+def test_divisions_agree_on_scaled_and_packed_power_keys(monkeypatch):
     rng = random.Random(19)
     monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 40)
 
@@ -476,8 +522,9 @@ def test_divisions_agree_on_int_and_numeral_power_keys(monkeypatch):
         except BudgetExceeded as error:
             return str(error)
 
-    # 1/(G+1) down to G^-20 forms 20 * 2 term pairs, the most the budget allows.
-    cases = [(ONE, G + 1, F(-20)), (ONE, G + 1, F(-21))]
+    # 1/(G+1) down to G^-20 forms 20 * 2 term pairs, the most the budget allows;
+    # -10**12 is out of reach.
+    cases = [(ONE, G + 1, F(-20)), (ONE, G + 1, F(-21)), (ONE, G + 1, F(-10**12))]
     cases += [
         (kernel_operand(rng, 12), kernel_operand(rng, 4), F(rng.randint(-30, 0), rng.randint(1, 3)))
         for _ in range(60)
@@ -485,6 +532,7 @@ def test_divisions_agree_on_int_and_numeral_power_keys(monkeypatch):
     results = [outcome(*case) for case in cases]
     assert len(results[0].quotient.terms) == 20
     assert results[1] == "division short of its cutoff needs 42 term pairs; limit is 40"
+    assert results[2] == results[1]
     assert sum(isinstance(result, str) for result in results) >= 10
     for (c, b, cutoff), result in zip(cases, results):
         if not isinstance(result, str):
@@ -492,8 +540,13 @@ def test_divisions_agree_on_int_and_numeral_power_keys(monkeypatch):
             assert_is_reference(result.quotient, expected_q)
             assert_is_reference(result.remainder, expected_r)
             result = (result.quotient * GG, result.remainder * GG)
-        # Shifted by G**G every power nests, so its keys are numerals, not ints.
+        # Shifted by G**G every power nests; shifted by G**(G**G) as well, the
+        # powers nest two levels.  Either way the keys are packed digit vectors
+        # and the cutoff nests too.
         assert outcome(c * GG, b, cutoff + G) == result
+        if not isinstance(result, str):
+            result = (result[0] * GGG, result[1] * GGG)
+        assert outcome(c * GG * GGG, b, cutoff + G + GG) == result
 
 
 def test_squaring_a_201_term_numeral_is_fast():

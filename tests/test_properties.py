@@ -19,7 +19,7 @@ from grossone import (
     parse,
     print_canonical,
 )
-from support import division_cutoff_respected, gn, gt, recomposition_holds
+from support import R, division_cutoff_respected, gn, gt, recomposition_holds
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -64,6 +64,13 @@ def test_multiplication_associates(a, b, c):
 @given(gross_numbers, gross_numbers, gross_numbers)
 def test_multiplication_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+@given(gross_numbers, gross_numbers)
+def test_products_match_the_reference(a, b):
+    # With deep_powers the keys are packed digit vectors: a wrong radix or
+    # sign convention shows here as a wrong term order or digit.
+    assert R.from_package(a * b) == R.mul(R.from_package(a), R.from_package(b))
 
 
 @given(st.tuples(rationals, powers), gross_numbers)
