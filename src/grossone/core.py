@@ -407,13 +407,13 @@ def _power_keys(*term_tuples):
 def _packed_keys(term_tuples):
     """_power_keys once a grosspower nests: its digits over the sorted inner powers,
     as ints over their lcm, packed as sum(v_i << shift*i).  Int order is compare's while
-    each digit a call forms fits under half the radix: 2*top in a product at most, and
-    top*(2Q + 3) in divide(), whose quotient terms Q <= PRODUCT_TERM_BUDGET."""
+    every digit formed stays under half the radix: at most 2*top (top: the widest input
+    digit) in a product, top*(2Q + 3) in divide() after Q <= PRODUCT_TERM_BUDGET terms."""
     inner = [t for terms in term_tuples for _, power in terms for t in power.terms]
-    basis = sorted({t.power for t in inner})
+    basis = sorted(dict.fromkeys(t.power for t in inner))  # in descending runs: cheap to sort
     index = {power: i for i, power in enumerate(basis)}
     scale = lcm(*(t.digit.denominator for t in inner))
-    top = int(max(abs(t.digit) for t in inner) * scale)
+    top = max(abs(t.digit.numerator) * (scale // t.digit.denominator) for t in inner)
     shift = (2 * top * (PRODUCT_TERM_BUDGET + 3) + 1).bit_length() + 1
     half, mask = 1 << (shift - 1), (1 << shift) - 1
 
