@@ -7,7 +7,7 @@ report whether every step was exact.
 
 from __future__ import annotations
 
-import operator
+from collections import deque
 from fractions import Fraction
 from typing import Tuple
 
@@ -39,33 +39,30 @@ class Variable(Expr):
     __slots__ = ()
 
 
-class _Binary(Expr):
-    """A node ``left op right``; Add, Sub and Mul name their operator in ``op``."""
+class Neg(Expr):
+    __slots__ = __match_args__ = ("operand",)
 
-    __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
 
 
-class Add(_Binary):
-    __slots__ = ()
-    op = operator.add
+class Sum(Expr):
+    """``terms[0] + terms[1] + ...``; ``a - b`` is ``Sum((a, Neg(b)))``."""
+
+    __slots__ = __match_args__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Expr, ...]):
+        object.__setattr__(self, "terms", tuple(terms))
 
 
-class Sub(_Binary):
-    __slots__ = ()
-    op = operator.sub
+class Product(Expr):
+    """``factors[0] op factors[1] op ...``; ``divides[i]`` is True where op i is ``/``."""
 
+    __slots__ = __match_args__ = ("factors", "divides")
 
-class Mul(_Binary):
-    __slots__ = ()
-    op = staticmethod(_budgeted_product)
-
-
-class Div(_Binary):
-    __slots__ = ()
+    def __init__(self, factors: Tuple[Expr, ...], divides: Tuple[bool, ...]):
+        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "divides", tuple(divides))
 
 
 class PowInt(Expr):
@@ -76,29 +73,37 @@ class PowInt(Expr):
         object.__setattr__(self, "exponent", exponent)
 
 
-_OPERATORS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
-_ZERO = Constant(Fraction(0))  # unary minus is 0 - operand
-
-
 class _ExprParser(_Cursor):
-    """Recursive descent; precedence ^ > unary - > * / > + -, left associative.
+    """Recursive descent; precedence ^ > unary - > * / > + -.
 
-    The methods return (node, depth) pairs.  The depth counts the parentheses,
-    minus signs and operators on the deepest path, and the cursor caps it at
-    MAX_NESTING, so neither these methods nor eval_at recurse past it.
+    The methods return (node, depth) pairs.  The depth counts the parentheses
+    and nodes on the deepest path, one level per Neg, PowInt, Sum or Product
+    however long its chain, and the cursor caps it at MAX_NESTING, so neither
+    these methods nor eval_at recurse past it.
     """
 
     def _sum(self) -> Tuple[Expr, int]:
-        left = self._product()
+        term, depth = self._product()
+        terms, chain = [term], depth + 1
         while self.peek().kind in ("+", "-"):
-            left = self._join(self.advance(), left, self._product())
-        return left
+            tok = self.advance()
+            term, below = self._product()
+            if tok.kind == "-":
+                term, below = Neg(term), below + 1
+            terms.append(term)
+            chain = self.nest(max(chain, below + 1), tok)
+        return (term, depth) if len(terms) == 1 else (Sum(terms), chain)
 
     def _product(self) -> Tuple[Expr, int]:
-        left = self._factor()
+        factor, depth = self._factor()
+        factors, divides, chain = [factor], [], depth + 1
         while self.peek().kind in ("*", "/"):
-            left = self._join(self.advance(), left, self._factor())
-        return left
+            tok = self.advance()
+            factor, below = self._factor()
+            factors.append(factor)
+            divides.append(tok.kind == "/")
+            chain = self.nest(max(chain, below + 1), tok)
+        return (factor, depth) if not divides else (Product(factors, divides), chain)
 
     def _factor(self) -> Tuple[Expr, int]:
         """[signs] ( "(" sum ")" | atom ) [ "^" exponent ]; "-x^2" is -(x^2)."""
@@ -119,24 +124,17 @@ class _ExprParser(_Cursor):
             depth = self.nest(depth + 1, self.advance())
             node = PowInt(node, self._exponent())
         for tok in reversed(minus):
-            node, depth = self._join(tok, (_ZERO, 0), (node, depth))
+            node, depth = Neg(node), self.nest(depth + 1, tok)
         return node, depth
 
     def _exponent(self) -> int:
         sign = self.sign()
         tok = self.peek()
         if tok.kind != "INT":
-            raise ParseError(
-                f"exponent must be an integer literal, found {tok.text or 'end of input'!r}",
-                tok.pos,
-            )
+            found = tok.text or "end of input"
+            raise ParseError(f"exponent must be an integer literal, found {found!r}", tok.pos)
         self.advance()
         return sign * tok.value
-
-    def _join(self, tok, left, right) -> Tuple[Expr, int]:
-        """The node ``left tok right``, one level below its deeper side."""
-        (a, a_depth), (b, b_depth) = left, right
-        return _OPERATORS[tok.kind](a, b), self.nest(max(a_depth, b_depth) + 1, tok)
 
 
 def _atom(tok) -> Expr:
@@ -162,13 +160,13 @@ def parse_expr(text: str) -> Expr:
 
 
 def contains_variable(node: Expr) -> bool:
-    if isinstance(node, Variable):
-        return True
-    if isinstance(node, (Constant, Grossone)):
-        return False
-    if isinstance(node, PowInt):
-        return contains_variable(node.base)
-    return contains_variable(node.left) or contains_variable(node.right)
+    if isinstance(node, (Constant, Grossone, Variable)):
+        return isinstance(node, Variable)
+    if isinstance(node, Sum):
+        return any(map(contains_variable, node.terms))
+    if isinstance(node, Product):
+        return any(map(contains_variable, node.factors))
+    return contains_variable(node.operand if isinstance(node, Neg) else node.base)
 
 
 def eval_at(
@@ -185,27 +183,35 @@ def eval_at(
     value = _operand(value)
     exact = True
 
-    def go(n: Expr) -> GrossNumber:
+    def quotient(a: GrossNumber, b: GrossNumber) -> GrossNumber:
         nonlocal exact
+        result = divide(a, b, min_power)
+        exact = exact and result.exact
+        return result.quotient
+
+    def go(n: Expr) -> GrossNumber:
         if isinstance(n, Constant):
             return GrossNumber.from_rational(n.value)
         if isinstance(n, Grossone):
             return G
         if isinstance(n, Variable):
             return value
-        if isinstance(n, Div):
-            result = divide(go(n.left), go(n.right), min_power)
-            exact = exact and result.exact
-            return result.quotient
-        if isinstance(n, _Binary):
-            return n.op(go(n.left), go(n.right))
+        if isinstance(n, Neg):
+            return -go(n.operand)
+        if isinstance(n, Sum):
+            # Pairwise, first in first out: O(n log n) term merges, not a fold's O(n^2).
+            values = deque(map(go, n.terms))
+            while len(values) > 1:
+                values.append(values.popleft() + values.popleft())
+            return values[0]
+        if isinstance(n, Product):
+            result = go(n.factors[0])
+            for factor, divides in zip(n.factors[1:], n.divides, strict=True):
+                result = (quotient if divides else _budgeted_product)(result, go(factor))
+            return result
         if isinstance(n, PowInt):
             base = go(n.base)
-            if n.exponent >= 0:
-                return base**n.exponent
-            result = divide(ONE, base ** (-n.exponent), min_power)
-            exact = exact and result.exact
-            return result.quotient
+            return base**n.exponent if n.exponent >= 0 else quotient(ONE, base ** -n.exponent)
         raise TypeError(f"unknown node {n!r}")
 
     return go(node), exact

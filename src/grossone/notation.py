@@ -28,9 +28,9 @@ from .errors import ParseError
 
 # Deepest nesting either grammar accepts.  A numeral nests only through
 # parenthesized grosspowers; an expression one level per parenthesis, minus
-# sign or operator on a path of its tree.  The parsers, printers and
-# evaluators recurse at most three frames per level, which keeps them inside
-# the interpreter's default recursion limit of 1000.
+# sign, ^ or operator chain (however long) on a path of its tree.  The
+# parsers, printers and evaluators recurse at most three frames per level,
+# which keeps them inside the interpreter's default recursion limit of 1000.
 MAX_NESTING = 200
 
 # Most decimal places print_decimal shows.  It prints a fraction part that

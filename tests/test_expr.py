@@ -12,6 +12,7 @@ from grossone import (
     ZERO,
     BudgetExceeded,
     DivisionByZero,
+    GrossNumber,
     InexactSum,
     NotIntegerValued,
     ParseError,
@@ -20,8 +21,9 @@ from grossone import (
     eval_sum,
     parse,
     parse_expr,
+    print_canonical,
 )
-from grossone.expr import Add, Constant, Div, Grossone, Mul, PowInt, Sub, Variable
+from grossone.expr import Constant, Grossone, Neg, PowInt, Product, Sum, Variable
 from grossone.notation import MAX_NESTING
 from support import assert_record_contract, gn, random_rational
 
@@ -30,9 +32,8 @@ H_TEXT = "((x^2 + 2*x)/x - 2)*(34/x)"
 
 def test_parse_expr_structure():
     tree = parse_expr("(x^2 + 2*x)/x")
-    assert tree == Div(
-        Add(PowInt(Variable(), 2), Mul(Constant(F(2)), Variable())), Variable()
-    )
+    two_x = Product((Constant(F(2)), Variable()), (False,))
+    assert tree == Product((Sum((PowInt(Variable(), 2), two_x)), Variable()), (True,))
 
 
 def test_parse_expr_grossone_atom():
@@ -41,9 +42,12 @@ def test_parse_expr_grossone_atom():
 
 def test_constant_power_is_a_powint_node():
     tree = parse_expr("x^4 + 11.5*x^2 + 10^100")
-    assert tree == Add(
-        Add(PowInt(Variable(), 4), Mul(Constant(F("11.5")), PowInt(Variable(), 2))),
-        PowInt(Constant(F(10)), 100),
+    assert tree == Sum(
+        (
+            PowInt(Variable(), 4),
+            Product((Constant(F("11.5")), PowInt(Variable(), 2)), (False,)),
+            PowInt(Constant(F(10)), 100),
+        )
     )
     assert eval_at(parse_expr("10^100"), ZERO) == (gn(10**100), True)
 
@@ -63,7 +67,7 @@ def test_constant_subtrees_evaluate_to_rationals():
 
 def test_fold_keeps_constant_poles_for_eval():
     tree = parse_expr("1/(2 - 2)")
-    assert isinstance(tree, Div)
+    assert isinstance(tree, Product) and tree.divides == (True,)
     with pytest.raises(DivisionByZero):
         eval_at(tree, ZERO)
     tree = parse_expr("0^-1")
@@ -85,15 +89,17 @@ def test_parse_leaves_a_large_power_to_the_eval_budget():
 def test_precedence_and_associativity():
     two, three, four = Constant(F(2)), Constant(F(3)), Constant(F(4))
     cases = [
-        ("2 + 3*4", Add(two, Mul(three, four)), 14),
-        ("2 - 3 - 4", Sub(Sub(two, three), four), -5),
-        ("-2^2", Sub(Constant(F(0)), PowInt(two, 2)), -4),  # ^ binds before unary minus
-        ("12/3/2", Div(Div(Constant(F(12)), three), two), 2),
+        ("2 + 3*4", Sum((two, Product((three, four), (False,)))), 14),
+        ("2 - 3 - 4", Sum((two, Neg(three), Neg(four))), -5),
+        ("-2^2", Neg(PowInt(two, 2)), -4),  # ^ binds before unary minus
+        ("12/3/2", Product((Constant(F(12)), three, two), (True, True)), 2),
+        ("12/3*2", Product((Constant(F(12)), three, two), (True, False)), 8),
+        ("2 - -3", Sum((two, Neg(Neg(three)))), 5),
     ]
     for text, tree, value in cases:
         assert parse_expr(text) == tree
         assert eval_at(tree, ZERO) == (gn(value), True)
-    assert parse_expr("-x^2") == Sub(Constant(F(0)), PowInt(Variable(), 2))
+    assert parse_expr("-x^2") == Neg(PowInt(Variable(), 2))
 
 
 _FUZZ_TOKENS = ["x", "G", "y", "0", "7", "10", "2.5", "3000000", "+", "-", "*", "/", "^", "(", ")"]
@@ -124,18 +130,47 @@ def test_parse_expr_rejects(text):
 
 
 def test_nesting_limit_is_a_positioned_parse_error():
-    assert eval_at(parse_expr("+".join(["x"] * 200)), ONE) == (gn(200), True)
+    # A chain is one level however long it is.
+    assert eval_at(parse_expr("+".join(["x"] * 5000)), ONE) == (gn(5000), True)
     deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     assert parse_expr(deepest) == Variable()
     too_deep = [
         ("(" + deepest + ")", MAX_NESTING),  # the first "(" past the limit
         ("-" * (MAX_NESTING + 1) + "x", 0),  # signs apply from the operand outward
-        ("+".join(["x"] * (MAX_NESTING + 2)), 2 * MAX_NESTING + 1),
+        ("(" * MAX_NESTING + "x+x" + ")" * MAX_NESTING, MAX_NESTING + 1),  # the chain's "+"
     ]
     for text, position in too_deep:
         with pytest.raises(ParseError) as err:
             parse_expr(text)
         assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        pytest.param("-" * MAX_NESTING + "x", 1, id="minus-run"),
+        pytest.param("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, 1, id="parentheses"),
+        pytest.param("(x+" * 100 + "x" + ")" * 100, 101, id="sums"),
+        pytest.param("--" + "(1+x*" * 66 + "x" + ")" * 66, 67, id="products-in-sums"),
+        pytest.param("(" * 100 + "x" + ")^1" * 100, 1, id="powers"),
+    ],
+)
+def test_deepest_admitted_trees_are_records(text, value):
+    # Each tree is at the cap: one more minus sign outside it is refused.
+    with pytest.raises(ParseError):
+        parse_expr("-" + text)
+    tree = parse_expr(text)
+    assert_record_contract(tree, parse_expr(text))
+    assert repr(tree) == repr(parse_expr(text))
+    assert eval_at(tree, ONE) == (gn(value), True)
+
+
+def test_printed_numeral_of_5000_terms_evaluates_back():
+    # A long sum adds pairwise: 0.2 s here, where a left fold of the terms takes 12 s.
+    a = GrossNumber.from_terms([((-1) ** i * F(i % 7 + 1, i % 3 + 1), -i) for i in range(5000)])
+    start = time.perf_counter()
+    assert eval_at(parse_expr(print_canonical(a)), ZERO, -5000) == (a, True)
+    assert time.perf_counter() - start < 3
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -262,7 +297,9 @@ NODE_PAIRS = [
     (Constant(F(1, 2)), Constant(value=F(1, 2))),
     (Grossone(), Grossone()),
     (Variable(), Variable()),
-    *[(cls(_A, _B), cls(left=_A, right=_B)) for cls in (Add, Sub, Mul, Div)],
+    (Neg(_A), Neg(operand=_A)),
+    (Sum((_A, _B)), Sum(terms=[_A, _B])),  # a list field is stored as a tuple
+    (Product((_A, _B), (True,)), Product(factors=(_A, _B), divides=[True])),
     (PowInt(_A, -3), PowInt(base=_A, exponent=-3)),
 ]
 
@@ -275,7 +312,9 @@ def test_nodes_are_immutable_records(node, by_keyword):
 
 
 def test_nodes_equal_only_within_their_class():
-    assert Add(_A, _B) != Sub(_A, _B)
+    assert Sum((_A, _B)) != Sum((_A, Neg(_B)))
+    assert Product((_A, _B), (False,)) != Product((_A, _B), (True,))
+    assert Neg(_A) != Sum((_A,))
     assert Grossone() != Variable()
     nodes = [node for node, _ in NODE_PAIRS]
     for i, node in enumerate(nodes):
@@ -284,10 +323,18 @@ def test_nodes_equal_only_within_their_class():
     assert Constant(F(2)) == Constant(2) and hash(Constant(F(2))) == hash(Constant(2))
 
 
+def test_product_with_a_missing_operator_is_an_error():
+    # divides names the operator before each factor after the first; a
+    # hand-built node without one must not drop a factor silently.
+    for node in (Product((_A, _B), ()), Product((_A,), (True,))):
+        with pytest.raises(ValueError):
+            eval_at(node, ONE)
+
+
 def test_parsed_tree_repr_and_copies():
     tree = parse_expr("G^2 - x/3")
     assert repr(tree) == (
-        "Sub(left=PowInt(base=Grossone(), exponent=2), "
-        "right=Div(left=Variable(), right=Constant(value=Fraction(3, 1))))"
+        "Sum(terms=(PowInt(base=Grossone(), exponent=2), Neg(operand=Product(factors="
+        "(Variable(), Constant(value=Fraction(3, 1))), divides=(True,)))))"
     )
     assert_record_contract(parse_expr(H_TEXT), parse_expr(H_TEXT))

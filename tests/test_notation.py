@@ -19,7 +19,7 @@ from grossone import (
     print_canonical,
     print_decimal,
 )
-from grossone.expr import Constant, Div, Grossone, PowInt
+from grossone.expr import Constant, Grossone, PowInt, Product
 from grossone.notation import MAX_NESTING
 from support import INT_DIGIT_LIMIT, gn, gt, random_grossone
 
@@ -52,7 +52,7 @@ def test_parse_rational_digits_and_powers():
     assert parse("G^84/5") == gt([(1, F(84, 5))])
     # The expression grammar groups the same text as (G^84)/5.
     tree = parse_expr("G^84/5")
-    assert tree == Div(PowInt(Grossone(), 84), Constant(F(5)))
+    assert tree == Product((PowInt(Grossone(), 84), Constant(F(5))), (True,))
     assert eval_at(tree, ZERO) == (gt([(F(1, 5), 84)]), True)
     assert parse("G^-31/5") == gt([(1, F(-31, 5))])
     assert parse("7/2*G^-2") == gt([(F(7, 2), -2)])

@@ -14,9 +14,11 @@ from grossone import (
     compare,
     core,
     divide,
+    eval_at,
     event_probability,
     nesting_depth,
     parse,
+    parse_expr,
     print_canonical,
 )
 from support import R, division_cutoff_respected, gn, gt, recomposition_holds
@@ -242,7 +244,14 @@ def test_parts_classify_by_power_sign(a):
 
 @given(gross_numbers)
 def test_parse_inverts_print_canonical(a):
-    assert parse(print_canonical(a)) == a
+    text = print_canonical(a)
+    assert parse(text) == a
+    # The expression grammar reads G^3/2 as (G^3)/2, so only a numeral whose
+    # grosspowers are all integers prints text that evaluates back to it.
+    powers = [t.power for t in a.terms]
+    if all(p.is_rational() and p.finite_part().denominator == 1 for p in powers):
+        low = min([0] + [int(p.finite_part()) for p in powers])
+        assert eval_at(parse_expr(text), ZERO, low) == (a, True)
 
 
 @given(gross_numbers, gross_numbers)
