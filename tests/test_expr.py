@@ -299,14 +299,15 @@ NODE_PAIRS = [
     (Variable(), Variable()),
     (Neg(_A), Neg(operand=_A)),
     (Sum((_A, _B)), Sum(terms=[_A, _B])),  # a list field is stored as a tuple
+    (Product((_A, _B), (False,)), Product(factors=(_A, _B), divides=[False])),
     (Product((_A, _B), (True,)), Product(factors=(_A, _B), divides=[True])),
     (PowInt(_A, -3), PowInt(base=_A, exponent=-3)),
 ]
+# A Product is a chain of * and /; its two cases are named for the operator.
+NODE_IDS = ["Constant", "Grossone", "Variable", "Neg", "Sum", "Mul", "Div", "PowInt"]
 
 
-@pytest.mark.parametrize(
-    "node,by_keyword", NODE_PAIRS, ids=[type(node).__name__ for node, _ in NODE_PAIRS]
-)
+@pytest.mark.parametrize("node,by_keyword", NODE_PAIRS, ids=NODE_IDS)
 def test_nodes_are_immutable_records(node, by_keyword):
     assert_record_contract(node, by_keyword)
 
