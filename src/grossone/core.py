@@ -5,9 +5,9 @@ infinite unit, digits are exact rationals, and each power is itself a
 grossone numeral of bounded nesting depth.  Zero is the empty sum.  Term
 lists are kept normalized (powers strictly decreasing, no zero digits),
 so two values are equal exactly when their term tuples are identical.
-``*`` and divide() run one routine each on int power keys: the powers
-scaled by the lcm of their denominators when every grosspower is rational,
-else each grosspower's digit vector over the sorted inner powers, packed.
+``*`` and divide() run on int power keys: powers over the lcm of their
+denominators, or packed digit vectors once a grosspower nests; divide()
+builds one Fraction per quotient term, summing remainder digits as ints.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from bisect import insort
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
@@ -514,12 +514,14 @@ def nesting_depth(value) -> int:
 def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     """Long division ``c = quotient * b + remainder``.
 
-    Each step divides the leading digits and subtracts that term times
-    ``b``'s trailing terms from the remainder: a dict of digits keyed on
-    int power key (see _power_keys), with an ascending list of its keys, so a
-    step costs ``b``'s terms.  Emission stops when the remainder reaches zero
-    (exact) or the next quotient grosspower would fall below ``min_power``
-    (inexact); either way the recomposition identity holds exactly.
+    Each step builds one reduced Fraction, the quotient digit, and subtracts
+    that term times ``b``'s trailing terms from the remainder: a dict keyed on
+    int power key (see _power_keys), with an ascending list of its keys.  A
+    term one digit f alone has reached is the pair of Fractions (f, r), its
+    quotient digit f * r; a second digit makes it the int pair (n, d), n/d the
+    term times the lcm of ``b``'s denominators.  Emission stops when the
+    remainder reaches zero (exact) or the next quotient grosspower would fall
+    below ``min_power`` (inexact); either way the recomposition identity holds.
 
     Each step passes the term pairs of ``quotient * b`` and the summed _bits
     of the quotient digits so far to _check_budget.
@@ -532,35 +534,58 @@ def divide(c, b, min_power=DEFAULT_MIN_POWER) -> DivisionResult:
     # The cutoff is keyed as the power of G**min_power.
     (pc, pb, (cutoff,)), decode = _power_keys(c.terms, b.terms, ((1, min_power),))
     lead_digit, neg_lead = b.terms[0].digit, -pb[0]
-    tail = [(p, t.digit) for p, t in zip(pb[1:], b.terms[1:])]  # (key, digit)
-    remainder = {p: t.digit for p, t in zip(pc, c.terms)}  # power key -> digit
-    # Each key in the dict is in pending once; pop() takes the highest.
-    pending = pc[::-1]
     quotient: list = []
     bits = 0
+    if len(b.terms) == 1:  # no tail: c's terms below the cutoff, already normal, remain
+        for key, t in zip(pc, c.terms):
+            if key + neg_lead < cutoff:
+                break
+            quotient.append(GrossTerm(t.digit / lead_digit, decode(key + neg_lead)))
+            bits += _bits(quotient[-1].digit)
+            _check_budget(len(quotient), bits, "division short of its cutoff")
+        return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(c.terms[len(quotient):]))
+    scale = lcm(*(t.digit.denominator for t in b.terms))
+    lead = lead_digit.numerator * (scale // lead_digit.denominator)
+    tail = [(p, -t.digit.numerator * (scale // t.digit.denominator), -t.digit / lead_digit)
+            for p, t in zip(pb[1:], b.terms[1:])]  # (key, x, r): x = r * lead, an int
+    inverse = 1 / lead_digit
+    remainder = {p: (t.digit, inverse) for p, t in zip(pc, c.terms)}
+    # Each key in the dict is in pending once; pop() takes the highest.
+    pending = pc[::-1]
     while pending:
         power = pending.pop()
-        digit = remainder.pop(power)
-        if not digit:
+        n, d = remainder.pop(power)
+        if not n:
             continue
         k = power + neg_lead
         if k < cutoff:
             # Every key left lies lower still: the rest is the remainder.
-            remainder[power] = digit
+            remainder[power] = n, d
             break
-        digit /= lead_digit
+        digit = n * d if type(d) is Fraction else Fraction(n, d * lead)
         bits += _bits(digit)
         _check_budget((len(quotient) + 1) * len(b.terms), bits, "division short of its cutoff")
         # Popped keys strictly decrease, so the quotient stays normal.
         quotient.append(GrossTerm(digit, decode(k)))
-        for key, d in tail:
+        u, v = digit.numerator, digit.denominator
+        for key, x, r in tail:
             p = k + key
-            if p in remainder:
-                remainder[p] -= digit * d
-            else:
-                remainder[p] = -digit * d
+            if p not in remainder:
+                remainder[p] = digit, r
                 insort(pending, p)
-    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(_normalize(remainder, decode)))
+                continue
+            n, d = remainder[p]
+            if type(d) is Fraction:
+                n, d = n.numerator * d.numerator * (lead // d.denominator), n.denominator
+            # Over lcm(d, v), d divides the product of a tail's worth of reduced v.
+            x *= u
+            if d != v:
+                g = gcd(d, v)
+                n, x, d = n * (v // g), x * (d // g), d // g * v
+            remainder[p] = n + x, d
+    left = {p: n * d * lead_digit if type(d) is Fraction else Fraction(n, d * scale)
+            for p, (n, d) in remainder.items() if n}
+    return DivisionResult(GrossNumber(tuple(quotient)), GrossNumber(_normalize(left, decode)))
 
 
 def _is_nonnegative_integer(power: GrossNumber) -> bool:

@@ -549,6 +549,113 @@ def test_divisions_agree_on_scaled_and_packed_power_keys(monkeypatch):
         assert outcome(c * GG * GGG, b, cutoff + G + GG) == result
 
 
+# -- quotient digits -------------------------------------------------------------
+
+
+def reference_division(c: GrossNumber, b: GrossNumber, cutoff: GrossNumber) -> tuple:
+    """support.R's quotient and remainder: laurent_divide while every grosspower
+    is rational, else the nested reference divide."""
+    if nesting_depth(c) <= 1 and nesting_depth(b) <= 1 and cutoff.is_rational():
+        parts = R.laurent_divide(laurent(c), laurent(b), cutoff.finite_part())[:2]
+        return tuple(R.from_laurent(part) for part in parts)
+    return R.divide(R.from_package(c), R.from_package(b), R.from_package(cutoff))[:2]
+
+
+def shared_factor_divisor(rng: random.Random) -> GrossNumber:
+    """2-4 terms on integer steps below a rational lead power, the lead of either
+    sign; numerators share 2s and 3s, over denominators 1 to 5."""
+    top = F(rng.randint(-4, 4), rng.choice((1, 2)))
+    return gt([(F(rng.choice((-1, 1)) * rng.choice((1, 2, 3, 4, 6, 9, 12)), rng.randint(1, 5)),
+                top - j) for j in range(rng.randint(2, 4))])
+
+
+def test_quotient_digits_match_the_reference(monkeypatch):
+    rng = random.Random(29)
+    cases = [
+        (ONE, 9 * G + 9 + G**-5, gn(-40)),  # the lead shares its factor with the tail
+        (3 * G**2 + 2, 6 * G + 4 + 3 * G**-1, gn(-30)),
+        (G - F(1, 3), F(-3, 4) * G + F(5, 6) + gt([(F(7, 10), F(-1, 2))]), gn(F(-25, 2))),
+    ]
+    cases += [(kernel_operand(rng, 12), shared_factor_divisor(rng),
+               gn(F(rng.randint(-25, 0), rng.choice((1, 2, 3))))) for _ in range(60)]
+    for p in rng.sample(_KERNEL_POWERS, 20):
+        # One-term divisors, the cutoff on the quotient power of a dividend term.
+        c, b = kernel_operand(rng, 12), gt([(F(rng.choice((-1, 1)) * rng.randint(1, 12), 5), p)])
+        cases.append((c, b, rng.choice(c.terms).power - p))
+    truncated = refused = 0
+    for i, (c, b, cutoff) in enumerate(cases):
+        budget = 60 if i % 4 == 3 else 10_000
+        monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", budget)
+        expected = reference_division(c, b, cutoff)
+        steps = budget // len(b.terms) + 1  # the first quotient term past the budget
+        if len(expected[0]) >= steps:
+            refused += 1
+            with pytest.raises(BudgetExceeded) as error:
+                divide(c, b, cutoff)
+            assert str(error.value) == (f"division short of its cutoff needs "
+                                        f"{steps * len(b.terms)} term pairs; limit is {budget}")
+            continue
+        q, r = divide(c, b, cutoff)
+        assert (R.from_package(q), R.from_package(r)) == expected
+        if len(b.terms) == 1:
+            assert r.terms == c.terms[len(q.terms):]
+            truncated += bool(q.terms and r.terms)
+    assert truncated >= 5 and refused >= 5
+    monkeypatch.undo()
+    for _ in range(20):
+        # Exact: every remainder term cancels, however many digits reached it.
+        a, b = kernel_operand(rng, 6), shared_factor_divisor(rng)
+        assert divide(a * b, b, a.terms[-1].power) == (a, ZERO)
+
+
+def test_nested_quotient_digits_match_the_reference(monkeypatch):
+    # Nested grosspowers and nested cutoffs; a patched budget refuses some.
+    rng = random.Random(31)
+    monkeypatch.setattr(core, "PRODUCT_TERM_BUDGET", 40)
+    refused = 0
+    for _ in range(40):
+        c, b = nested_operand(rng, 5), nested_operand(rng, 3, depth=2)
+        cutoff = rng.choice((gn(rng.randint(-6, 0)), rng.randint(1, 3) * -G + rng.randint(-3, 3)))
+        try:
+            q, r = divide(c, b, cutoff)
+        except BudgetExceeded as error:
+            steps = 40 // len(b.terms) + 1
+            assert str(error) == (f"division short of its cutoff needs "
+                                  f"{steps * len(b.terms)} term pairs; limit is 40")
+            refused += 1
+            continue
+        assert (R.from_package(q), R.from_package(r)) == reference_division(c, b, cutoff)
+    assert 0 < refused < 40
+
+
+def test_wide_quotient_digits_match_the_reference():
+    # 95,000-bit digits: remainder terms reached by one digit, then by two.
+    c = gn(F(3, 2) ** 60000)
+    for b in (G + 1, 2 * G + 1 + G**-1, 6 * G - 4 + F(9, 2) * G**-1):
+        q, r = divide(c, b, -4)
+        assert len(q.terms) == 4
+        assert (R.from_package(q), R.from_package(r)) == reference_division(c, b, gn(-4))
+
+
+@pytest.mark.parametrize(
+    "c,b,cutoff,bits",
+    [
+        (1, 3**600 * (G + 1), -5000, 2097906),
+        (3**1800, 3**600 * G + 3**1200, -3000, 2101688),
+        (1, 9 * G + 9 + G**-5, -3000, 2098601),
+        # A 1,268,000-bit digit over a two-term divisor: the next digit is a
+        # product of reduced Fractions, not a gcd of two such ints.
+        (F(3, 2) ** 800000, G + 1, -2, 2535942),
+    ],
+)
+def test_wide_digit_divisions_end_on_the_bit_budget(c, b, cutoff, bits):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as error:
+        divide(c, b, cutoff)
+    assert time.perf_counter() - start < 1
+    assert str(error.value) == f"digits need about {bits} bits; limit is 2097152"
+
+
 def test_squaring_a_201_term_numeral_is_fast():
     wide = (G + 1) ** 200
     start = time.perf_counter()
