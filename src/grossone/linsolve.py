@@ -5,17 +5,21 @@ elimination proceeds; quotients are truncated below G**-z where z counts
 the injections made so far.  The finite parts of the grossone solution
 solve the original rational system.  An exact rational solver with
 partial pivoting is included as an independent check.
+
+Every grosspower met is an integer (rational inputs, G**-1, cutoffs -z), so an
+entry is a Laurent polynomial in G: (power, Fraction digit) for one term (digit
+0 for zero), else ({power: int numerator}, den) with den coprime to their gcd.
+Entries cancel once per product and difference; quotients go through divide().
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Tuple
 
-from .core import G, GrossNumber, Record, _rational, divide
+from .core import ZERO, GrossNumber, GrossTerm, Record, _rational, divide
 from .errors import InexactSolution, SingularSystem
-
-_INV_G = G**-1
 
 
 class LinearSystem(Record):
@@ -67,64 +71,98 @@ class SolveReport(Record):
 def solve_grossone(system: LinearSystem) -> SolveReport:
     """Solve without row interchange, injecting G**-1 for zero pivots.
 
+    Each pivot-row quotient is divide() of two numerals, under its budgets.
     Raises SingularSystem when a solution component keeps an infinite
     part, i.e. the injected infinitesimal failed to cancel, and
     InexactSolution when the residual A*x - b is not infinitesimal, i.e.
     the finite solution would be wrong.
     """
     n = system.size
-    m = [
-        [GrossNumber.from_rational(x) for x in row] + [GrossNumber.from_rational(rhs)]
-        for row, rhs in zip(system.a, system.b)
-    ]
-    z = 0
+    m = [[(0, x) for x in row] + [(0, rhs)] for row, rhs in zip(system.a, system.b)]
     injected = []
     for col in range(n):
-        pivot = m[col][col]
-        if pivot.is_zero():
-            pivot = _INV_G
-            z += 1
+        if not m[col][col][1]:
+            m[col][col] = (-1, Fraction(1))
             injected.append(col)
-        cutoff = GrossNumber.from_rational(-z)
+        pivot = _number(m[col][col])
         # Entries at and below the pivot are never read again: start right of it.
-        for c in range(col + 1, n + 1):
-            m[col][c] = divide(m[col][c], pivot, cutoff).quotient
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            if not factor.is_zero():
-                for c in range(col + 1, n + 1):
-                    m[r][c] = m[r][c] - factor * m[col][c]
+        m[col][col + 1:] = tail = [_entry(divide(_number(e), pivot, -len(injected)).quotient)
+                                   if e[1] else e for e in m[col][col + 1:]]
+        for row in m[col + 1:]:
+            factor = row[col]
+            if factor[1]:
+                row[col + 1:] = [_sub_mul(a, factor, b) for a, b in zip(row[col + 1:], tail)]
     xs = [m[i][n] for i in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            if not m[i][j].is_zero():
-                xs[i] = xs[i] - m[i][j] * xs[j]
-    for i, x in enumerate(xs):
+            xs[i] = _sub_mul(xs[i], m[i][j], xs[j])
+    solution = tuple(map(_number, xs))
+    for i, x in enumerate(solution):
         if not x.infinite_part().is_zero():
             raise SingularSystem(
                 f"solution component {i} has an infinite part; "
                 "the system has no finite solution"
             )
-    # Each row of A*x - b as one numeral, built by one from_terms.
-    rows = [
-        GrossNumber.from_terms(
-            [(-rhs, 0)] + [(c * t.digit, t.power) for c, x in zip(row, xs) if c for t in x.terms]
-        )
-        for row, rhs in zip(system.a, system.b)
-    ]
-    residual_lead = max((r.terms[0].power for r in rows if r.terms), default=None)
-    if residual_lead is not None and residual_lead.sign() >= 0:
+    # Each row of A*x - b as one entry; its top power is its leading one.
+    rows = [(0, -rhs) for rhs in system.b]
+    for j, x in enumerate(xs):
+        rows = [_sub_mul(r, (0, -row[j]), x) for r, row in zip(rows, system.a)]
+    lead = max((p if type(q) is Fraction else max(p) for p, q in rows if q), default=None)
+    if lead is not None and lead >= 0:
         raise InexactSolution(
-            f"residual has a term at grosspower {residual_lead}; "
+            f"residual has a term at grosspower {lead}; "
             "the finite solution does not solve the system"
         )
     return SolveReport(
-        solution=tuple(xs),
-        finite_solution=tuple(x.finite_part() for x in xs),
-        injected_pivots=z,
+        solution=solution,
+        finite_solution=tuple(x.finite_part() for x in solution),
+        injected_pivots=len(injected),
         injected_rows=tuple(injected),
-        residual_leading_power=residual_lead,
+        residual_leading_power=None if lead is None else GrossNumber.from_rational(lead),
     )
+
+
+def _number(entry) -> GrossNumber:
+    p, q = entry
+    if type(q) is Fraction:
+        return GrossNumber((GrossTerm(q, GrossNumber.from_rational(p)),)) if q else ZERO
+    return GrossNumber(tuple(GrossTerm(Fraction(x, q), GrossNumber.from_rational(k))
+                             for k, x in sorted(p.items(), reverse=True)))
+
+
+def _entry(number: GrossNumber):
+    terms = [(t.power.finite_part().numerator, t.digit) for t in number.terms]
+    if len(terms) < 2:
+        return terms[0] if terms else (0, Fraction(0))
+    den = lcm(*(d.denominator for _, d in terms))
+    return {k: d.numerator * (den // d.denominator) for k, d in terms}, den
+
+
+def _sub_mul(a, f, b):
+    """a - f*b on entries, cancelled once per entry as Fraction does (Knuth, TAOCP
+    4.5.1): f*b by each denominator's gcd with the other's numerator content (by
+    Gauss's lemma, contents multiply), then a - f*b by its content's gcd with
+    gcd(da, dp).  One-term operands at one power subtract as Fractions."""
+    if not (f[1] and b[1]):
+        return a
+    if type(b[1]) is type(f[1]) is type(a[1]) is Fraction and (a[0] == f[0] + b[0] or not a[1]):
+        return f[0] + b[0], a[1] - f[1] * b[1]
+    (na, da), (nf, df), (nb, db) = (({p: q.numerator}, q.denominator) if type(q) is Fraction
+                                    else (p, q) for p, q in (a, f, b))
+    g1, g2 = gcd(df, *nb.values()), gcd(db, *nf.values())
+    dp = df // g1 * (db // g2)
+    g = gcd(da, dp)
+    out = {k: x * (dp // g) for k, x in na.items()}
+    nb = [(k, x // g1) for k, x in nb.items()]
+    for kf, xf in nf.items():
+        xf = xf // g2 * (da // g)
+        for kb, xb in nb:
+            out[kf + kb] = out.get(kf + kb, 0) - xf * xb
+    h = gcd(g, *out.values())  # 1 at once when g is 1
+    out, d = {k: x // h for k, x in out.items() if x}, da * (dp // g) // h
+    if len(out) > 1:
+        return out, d
+    return next(((k, Fraction(x, d)) for k, x in out.items()), (0, Fraction(0)))
 
 
 def solve_exact_oracle(system: LinearSystem) -> Tuple[Fraction, ...]:

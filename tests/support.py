@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from grossone import GrossNumber, LinearSystem
+from grossone import GrossNumber, LinearSystem, SolveReport
+from grossone.errors import InexactSolution, SingularSystem
 
 gn = GrossNumber.from_rational
 gt = GrossNumber.from_terms
@@ -137,6 +138,41 @@ LOSSY_8X8 = (
     ],
     [-7, 4, -8, 5, 0, -9, -6, 2],
 )
+
+
+def reference_solve(system: LinearSystem) -> SolveReport:
+    """solve_grossone's procedure on R's Laurent dicts {power: Fraction}: no row
+    interchange, G**-1 for an exactly zero pivot, pivot-row quotients cut below
+    G**-z, exact back-substitution, then the residual test; the same errors."""
+    n, injected = system.size, []
+    m = [[{0: x} if x else {} for x in (*row, rhs)] for row, rhs in zip(system.a, system.b)]
+    for col in range(n):
+        if not m[col][col]:
+            m[col][col] = {-1: Fraction(1)}
+            injected.append(col)
+        m[col][col + 1:] = [R.laurent_divide(e, m[col][col], -len(injected))[0]
+                            for e in m[col][col + 1:]]
+        for r in range(col + 1, n):
+            m[r][col + 1:] = [R.laurent_add(a, R.laurent_mul(m[r][col], b), -1)
+                              for a, b in zip(m[r][col + 1:], m[col][col + 1:])]
+    xs = [row[n] for row in m]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            xs[i] = R.laurent_add(xs[i], R.laurent_mul(m[i][j], xs[j]), -1)
+    for i, x in enumerate(xs):
+        if max(x, default=0) > 0:
+            raise SingularSystem(f"solution component {i} has an infinite part; "
+                                 "the system has no finite solution")
+    rows = [R.laurent_add({0: -rhs}, {p: sum(c * x.get(p, 0) for c, x in zip(row, xs))
+                                      for x in xs for p in x})
+            for row, rhs in zip(system.a, system.b)]
+    lead = max((max(r) for r in rows if r), default=None)
+    if lead is not None and lead >= 0:
+        raise InexactSolution(f"residual has a term at grosspower {gn(lead)}; "
+                              "the finite solution does not solve the system")
+    return SolveReport(tuple(gt([(d, p) for p, d in x.items()]) for x in xs),
+                       tuple(x.get(0, Fraction(0)) for x in xs), len(injected),
+                       tuple(injected), None if lead is None else gn(lead))
 
 
 def _zero_leading_minors(rows) -> int:

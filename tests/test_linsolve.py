@@ -1,6 +1,7 @@
 """Pivot-free elimination with infinitesimal injections vs the exact oracle."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +16,14 @@ from grossone import (
     solve_exact_oracle,
     solve_grossone,
 )
-from grossone.errors import InexactSolution
-from support import LOSSY_8X8, assert_record_contract, gn, random_system_with_zero_minors
+from grossone.errors import BudgetExceeded, InexactSolution
+from support import (
+    LOSSY_8X8,
+    assert_record_contract,
+    gn,
+    random_system_with_zero_minors,
+    reference_solve,
+)
 
 ZERO_PIVOT_2X2 = LinearSystem.from_rows([[0, 1], [2, 2]], [2, 2])
 DOUBLE_ZERO_3X3 = LinearSystem.from_rows([[0, 0, 1], [2, 0, -1], [1, 2, 3]], [1, 3, 1])
@@ -159,3 +166,44 @@ def test_system_and_report_are_immutable_records():
     assert SolveReport(*fields) == report
     assert SolveReport(**dict(zip(SolveReport.__match_args__, fields))) == report
     assert report != solve_grossone(DOUBLE_ZERO_3X3)
+
+
+def outcome(solve, system):
+    """The report, or the error's type and text."""
+    try:
+        return solve(system)
+    except (SingularSystem, InexactSolution) as error:
+        return type(error), str(error)
+
+
+def test_whole_report_matches_the_reference_procedure():
+    # Every field, the solutions' infinitesimal tails included, and each
+    # error's type and text: the benchmark's check reads only finite parts.
+    rng = random.Random(25)
+    systems = [LinearSystem.from_rows(*LOSSY_8X8)] + [
+        random_system_with_zero_minors(rng, n, z)
+        for n in range(2, 11) for z in range(3) for _ in range(2)
+    ]
+    outcomes = [outcome(solve_grossone, system) for system in systems]
+    assert outcomes == [outcome(reference_solve, system) for system in systems]
+    assert outcomes[0][0] is InexactSolution
+    assert any(report.residual_leading_power is not None for report in outcomes[1:])
+
+
+def test_budget_reached_through_the_solver():
+    # The pivot-row quotient 3**1400000 / 1 is core's divide(), under its budget.
+    system = LinearSystem.from_rows([[1, 3**1400000], [1, 1]], [1, 2])
+    with pytest.raises(BudgetExceeded) as error:
+        solve_grossone(system)
+    assert str(error.value) == "digits need about 2218948 bits; limit is 2097152"
+
+
+def test_one_wide_digit_solves_without_reducing_it_again():
+    # A 475,000-bit entry: products and differences pair it with a narrow
+    # denominator, as Fraction does, and a one-term digit is built once.
+    system = LinearSystem.from_rows([[2, 1], [1, F(3, 2) ** 300000]], [1, 2])
+    start = time.perf_counter()
+    report = solve_grossone(system)
+    assert time.perf_counter() - start < 1
+    exact = solve_exact_oracle(system)
+    assert report == SolveReport(tuple(map(gn, exact)), exact, 0, (), None)
