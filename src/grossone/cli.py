@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -130,15 +131,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _count(args.depth, "--depth", 1)
         if args.decimal is not None:
             _decimal_digits(args.decimal)
-        handler = {
-            "eval": _cmd_eval,
-            "solve": _cmd_solve,
-            "sum": _cmd_sum,
-            "prob": _cmd_prob,
-            "measure": _cmd_measure,
-            "repl": _cmd_repl,
-        }[args.command]
-        return handler(args)
+        handler = {"eval": _cmd_eval, "solve": _cmd_solve, "sum": _cmd_sum, "prob": _cmd_prob,
+                   "measure": _cmd_measure, "repl": _cmd_repl}[args.command]
+        code = handler(args)
+        sys.stdout.flush()  # a reader gone early raises here, not in the exit flush
+        return code
+    except BrokenPipeError:  # stdout's reader left: no error, and the exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes by _ERROR_TABLE
         return _report(exc)
 

@@ -9,7 +9,7 @@ partial pivoting is included as an independent check.
 Every grosspower met is an integer (rational inputs, G**-1, cutoffs -z), so an
 entry is a Laurent polynomial in G: (power, Fraction digit) for one term (digit
 0 for zero), else ({power: int numerator}, den) with den coprime to their gcd.
-Entries cancel once per product and difference; quotients go through divide().
+Entries cancel once per product and difference, quotients too: e times 1/pivot.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Tuple
 
-from .core import ZERO, GrossNumber, GrossTerm, Record, _rational, divide
+from .core import ZERO, GrossNumber, GrossTerm, Record, _bits, _check_budget, _rational, divide
 from .errors import InexactSolution, SingularSystem
 
 
@@ -71,23 +71,26 @@ class SolveReport(Record):
 def solve_grossone(system: LinearSystem) -> SolveReport:
     """Solve without row interchange, injecting G**-1 for zero pivots.
 
-    Each pivot-row quotient is divide() of two numerals, under its budgets.
+    Each quotient is e times the column's one divide(), cut below G**-z; budgeted.
     Raises SingularSystem when a solution component keeps an infinite
     part, i.e. the injected infinitesimal failed to cancel, and
     InexactSolution when the residual A*x - b is not infinitesimal, i.e.
     the finite solution would be wrong.
     """
-    n = system.size
+    n, zero = system.size, (0, Fraction(0))
     m = [[(0, x) for x in row] + [(0, rhs)] for row, rhs in zip(system.a, system.b)]
     injected = []
     for col in range(n):
         if not m[col][col][1]:
             m[col][col] = (-1, Fraction(1))
             injected.append(col)
-        pivot = _number(m[col][col])
-        # Entries at and below the pivot are never read again: start right of it.
-        m[col][col + 1:] = tail = [_entry(divide(_number(e), pivot, -len(injected)).quotient)
-                                   if e[1] else e for e in m[col][col + 1:]]
+        # -1/pivot once per column, down to G**-(z + top): no entry e right of it reaches
+        # above top, so the terms of e/pivot at powers >= -z (divide()'s quotient) are
+        # those of 0 - e*neg_inv.  Entries at and below the pivot are never read again.
+        z, top = len(injected), max((p if type(q) is Fraction else max(p)
+                                     for p, q in m[col][col + 1:] if q), default=0)
+        neg_inv = _entry(divide(-1, _number(m[col][col]), -z - top).quotient)
+        m[col][col + 1:] = tail = [_sub_mul(zero, e, neg_inv, -z) for e in m[col][col + 1:]]
         for row in m[col + 1:]:
             factor = row[col]
             if factor[1]:
@@ -138,15 +141,27 @@ def _entry(number: GrossNumber):
     return {k: d.numerator * (den // d.denominator) for k, d in terms}, den
 
 
-def _sub_mul(a, f, b):
+def _size(entry):
+    """Terms and _bits of an entry, a longer one's from its int numerators and denominator."""
+    p, q = entry
+    nums, d = ([q.numerator], q.denominator) if type(q) is Fraction else (p.values(), q)
+    return len(nums), (max(d, *map(abs, nums)) - 1).bit_length()
+
+
+def _sub_mul(a, f, b, cut=None):
     """a - f*b on entries, cancelled once per entry as Fraction does (Knuth, TAOCP
     4.5.1): f*b by each denominator's gcd with the other's numerator content (by
     Gauss's lemma, contents multiply), then a - f*b by its content's gcd with
-    gcd(da, dp).  One-term operands at one power subtract as Fractions."""
+    gcd(da, dp).  One-term operands at one power subtract as Fractions.  With a
+    ``cut`` and a zero ``a``: f*b's terms at powers >= cut, checked by core's
+    product budgets as _budgeted_product checks them, and reduced once more."""
     if not (f[1] and b[1]):
         return a
+    if cut is not None:
+        (tf, bf), (tb, bb) = _size(f), _size(b)
+        _check_budget(tf * tb, bf + bb)
     if type(b[1]) is type(f[1]) is type(a[1]) is Fraction and (a[0] == f[0] + b[0] or not a[1]):
-        return f[0] + b[0], a[1] - f[1] * b[1]
+        return (f[0] + b[0], a[1] - f[1] * b[1]) if cut is None or f[0] + b[0] >= cut else a
     (na, da), (nf, df), (nb, db) = (({p: q.numerator}, q.denominator) if type(q) is Fraction
                                     else (p, q) for p, q in (a, f, b))
     g1, g2 = gcd(df, *nb.values()), gcd(db, *nf.values())
@@ -156,9 +171,9 @@ def _sub_mul(a, f, b):
     nb = [(k, x // g1) for k, x in nb.items()]
     for kf, xf in nf.items():
         xf = xf // g2 * (da // g)
-        for kb, xb in nb:
+        for kb, xb in nb if cut is None else [t for t in nb if kf + t[0] >= cut]:
             out[kf + kb] = out.get(kf + kb, 0) - xf * xb
-    h = gcd(g, *out.values())  # 1 at once when g is 1
+    h = gcd(g if cut is None else dp, *out.values())  # 1 at once when g is 1
     out, d = {k: x // h for k, x in out.items() if x}, da * (dp // g) // h
     if len(out) > 1:
         return out, d

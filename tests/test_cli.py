@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -622,6 +623,24 @@ def test_module_invocation_round_trip():
     )
     assert result.returncode == 0
     assert result.stdout == "1\nexact\n"
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    # As in `eval ... | head -n 1`: stdout closed before all of it is written is
+    # no error.  Odd runs close it after the first line, even ones before any;
+    # the first ten write each line at once, the rest flush a buffer at the end.
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for run in range(20):
+        env = dict(buffered, PYTHONUNBUFFERED="1") if run < 10 else buffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "grossone", "eval", "1/(G+1)", "--min-power", "-300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        if run % 2:
+            assert proc.stdout.readline().startswith(b"1*G^-1 - 1*G^-2 + ")
+        proc.stdout.close()
+        with proc.stderr:
+            assert (run, proc.wait(timeout=10), proc.stderr.read()) == (run, 0, b"")
 
 
 def test_cli_import_leaves_out_dataclasses():

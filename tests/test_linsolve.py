@@ -8,6 +8,7 @@ import pytest
 
 from grossone import (
     G,
+    linsolve,
     SolveReport,
     ZERO,
     LinearSystem,
@@ -190,12 +191,74 @@ def test_whole_report_matches_the_reference_procedure():
     assert any(report.residual_leading_power is not None for report in outcomes[1:])
 
 
+# In the last column the one entry right of the pivot -2 - 1/4*G^-2 is
+# -1/2*G^-2, below G^-z (z = 1): the inverse and that quotient are cut to zero.
+ALL_CUT_4X4 = ([[0, 1, -1, -1], [-1, 1, 0, 1], [-1, -1, 0, 0], [0, 1, 1, 0]], [1, 1, 1, -1])
+
+
+def test_report_matches_the_reference_on_every_quotient_path(monkeypatch):
+    # Each column divides -1 by its pivot once and cuts its products with the
+    # pivot row below G**-z; watch both, to show that the sweep reaches G**-1
+    # pivots (an inverse with positive powers), pivot rows whose entries differ
+    # in top power, and a row whose quotients are all cut to zero.
+    columns = []
+    divide, sub_mul = linsolve.divide, linsolve._sub_mul
+
+    def watched_divide(c, b, min_power):
+        result = divide(c, b, min_power)
+        columns.append((result.quotient, []))
+        return result
+
+    def watched_sub_mul(a, f, b, cut=None):
+        out = sub_mul(a, f, b, cut)
+        if cut is not None and f[1]:
+            columns[-1][1].append((f[0] if type(f[1]) is F else max(f[0]), bool(out[1])))
+        return out
+
+    monkeypatch.setattr(linsolve, "divide", watched_divide)
+    monkeypatch.setattr(linsolve, "_sub_mul", watched_sub_mul)
+    rng = random.Random(26)
+    systems = [LinearSystem.from_rows(*ALL_CUT_4X4)]
+    for n in range(2, 15):
+        for z in range(min(n, 4)):
+            a = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+            for i in range(z):  # a zero top-left z-by-z upper triangle: z zero pivots or more
+                a[i][i:z] = [0] * (z - i)
+            systems.append(LinearSystem.from_rows(a, [rng.randint(-5, 5) for _ in range(n)]))
+    outcomes = [outcome(solve_grossone, system) for system in systems]
+    assert outcomes == [outcome(reference_solve, system) for system in systems]
+    assert any(type(report) is tuple for report in outcomes)
+    assert any(report.injected_pivots == 3 for report in outcomes if type(report) is SolveReport)
+    assert any(q.terms and q.terms[0].power > 0 for q, _ in columns)
+    assert any(len({top for top, _ in row}) > 1 for _, row in columns)
+    assert any(row and not any(kept for _, kept in row) for _, row in columns)
+
+
+def test_a_cut_product_is_reduced_again():
+    # (2 + 4*G^-1 + 3*G^-5)/6 cut below G^-1 leaves content 2 over 6: the entry
+    # keeps its denominator coprime to its numerators.
+    entry = ({0: 2, -1: 4, -5: 3}, 1)
+    assert linsolve._sub_mul((0, F(0)), entry, (0, F(-1, 6)), -1) == ({0: 1, -1: 2}, 3)
+    assert linsolve._sub_mul((0, F(0)), entry, (0, F(-1, 6)), 1) == (0, F(0))
+
+
 def test_budget_reached_through_the_solver():
-    # The pivot-row quotient 3**1400000 / 1 is core's divide(), under its budget.
+    # The pivot-row quotient 3**1400000 / 1 is a product with the column's one
+    # divide(), -1/1: its digit bits, 2218948 + 0, are checked before it is formed.
     system = LinearSystem.from_rows([[1, 3**1400000], [1, 1]], [1, 2])
     with pytest.raises(BudgetExceeded) as error:
         solve_grossone(system)
     assert str(error.value) == "digits need about 2218948 bits; limit is 2097152"
+
+
+def test_budget_reached_through_a_pivot_other_than_one():
+    # The inverse -1/3 adds its 2 bits to the entry's, and the product is refused
+    # before it is formed.
+    system = LinearSystem.from_rows([[3, 3**1400000], [1, 1]], [1, 2])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="bits; limit is 2097152"):
+        solve_grossone(system)
+    assert time.perf_counter() - start < 2
 
 
 def test_one_wide_digit_solves_without_reducing_it_again():
