@@ -10,12 +10,10 @@ the category's code (see _ERROR_TABLE).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .applications import MeasurePiece, event_probability, total_measure
 from .core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER, GrossNumber, _count
 from .errors import (
     BudgetExceeded,
@@ -31,8 +29,13 @@ from .errors import (
     SingularSystem,
 )
 from .expr import contains_variable, eval_alternating, eval_at, parse_expr
-from .linsolve import LinearSystem, solve_grossone
 from .notation import _decimal_digits, parse, parse_rational, print_canonical, print_decimal
+
+# solve, measure and prob import json and the modules they run in their
+# handlers, so eval, sum and repl never compile them.
+if TYPE_CHECKING:
+    from .applications import MeasurePiece
+    from .linsolve import LinearSystem
 
 
 class _UsageError(Exception):
@@ -191,6 +194,7 @@ def _print_result(args: argparse.Namespace, value: GrossNumber, exact: bool) -> 
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
+    from .applications import event_probability
     favorable = parse(args.favorable, args.depth)
     total = parse(args.total, args.depth)
     print(_render(args, event_probability(favorable, total, args.min_power)))
@@ -198,6 +202,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
+    from .applications import total_measure
     data = _load_json(args.path)
     if not isinstance(data, list):
         raise SchemaError("measure input must be a JSON list of pieces")
@@ -207,6 +212,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    import json
+    from .linsolve import solve_grossone
     system = _system_from_json(_load_json(args.path))
     report = solve_grossone(system)
     lead = report.residual_leading_power
@@ -269,6 +276,7 @@ def _repl_directive(line: str, args: argparse.Namespace) -> None:
 
 
 def _load_json(path: str):
+    import json
     with open(path, "r", encoding="utf-8") as handle:
         # ValueError covers malformed JSON, bytes that are not UTF-8, and
         # integer literals past the interpreter's int conversion limit;
@@ -289,6 +297,7 @@ def _rational_field(value, where: str):
 
 
 def _system_from_json(data) -> LinearSystem:
+    from .linsolve import LinearSystem
     if not isinstance(data, dict) or "A" not in data or "b" not in data:
         raise SchemaError('system file must be a JSON object with keys "A" and "b"')
     a, b = data["A"], data["b"]
@@ -308,6 +317,7 @@ def _system_from_json(data) -> LinearSystem:
 
 
 def _piece_from_json(index: int, data) -> MeasurePiece:
+    from .applications import MeasurePiece
     if not isinstance(data, dict) or "extent" not in data or "codim" not in data:
         raise SchemaError(f'piece {index}: expected an object with "extent" and "codim"')
     unknown = set(data).difference(MeasurePiece.__match_args__)

@@ -4,7 +4,7 @@ Grammar (whitespace between tokens is insignificant)::
 
     number   := [sign] term { sign term }
     term     := digit [ "*" "G" [ "^" power ] ] | "G" [ "^" power ]
-    power    := integer | rational | "(" number ")"
+    power    := [sign] (integer | rational) | "(" number ")"
     digit    := decimal | rational
     rational := integer "/" positive-integer
     sign     := "+" | "-"
