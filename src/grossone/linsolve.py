@@ -3,8 +3,9 @@
 A pivot that is exactly zero is replaced by the infinitesimal G**-1 and
 elimination proceeds; quotients are truncated below G**-z where z counts
 the injections made so far.  The finite parts of the grossone solution
-solve the original rational system.  An exact rational solver with
-partial pivoting is included as an independent check.
+solve the original rational system; with no zero pivot, fraction-free integer
+elimination gives the same report.  An exact rational solver with partial
+pivoting is included as an independent check.
 
 Every grosspower met is an integer (rational inputs, G**-1, cutoffs -z), so an
 entry is a Laurent polynomial in G: (power, Fraction digit) for one term (digit
@@ -18,7 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Tuple
 
-from .core import ZERO, GrossNumber, GrossTerm, Record, _bits, _check_budget, _rational, divide
+from .core import (DIGIT_BIT_BUDGET, ZERO, GrossNumber, GrossTerm, Record, _bits, _check_budget,
+                   _rational, divide)
 from .errors import InexactSolution, SingularSystem
 
 
@@ -72,11 +74,14 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
     """Solve without row interchange, injecting G**-1 for zero pivots.
 
     Each quotient is e times the column's one divide(), cut below G**-z; budgeted.
+    A system that would meet no zero pivot is solved by _fraction_free instead.
     Raises SingularSystem when a solution component keeps an infinite
     part, i.e. the injected infinitesimal failed to cancel, and
     InexactSolution when the residual A*x - b is not infinitesimal, i.e.
     the finite solution would be wrong.
     """
+    if (report := _fraction_free(system)) is not None:
+        return report
     n, zero = system.size, (0, Fraction(0))
     m = [[(0, x) for x in row] + [(0, rhs)] for row, rhs in zip(system.a, system.b)]
     injected = []
@@ -123,6 +128,34 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
         injected_rows=tuple(injected),
         residual_leading_power=None if lead is None else GrossNumber.from_rational(lead),
     )
+
+
+def _fraction_free(system: LinearSystem):
+    """solve_grossone's report when no leading minor of A vanishes, else None: Bareiss
+    elimination (Math. Comp. 22, 1968) of [A | b] scaled by rows to ints, whose pivots are
+    those minors.  A minor times a row scale has at most F = n * (w + n.bit_length()) bits
+    (Hadamard), w the widest scaled entry or scale; a budget check of the procedure adds
+    two quotients of such, 4F bits with numerators and denominators, so none can fire."""
+    n, m, top = system.size, [], 1
+    for row in (a + (b,) for a, b in zip(system.a, system.b)):
+        scale = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+        top = max(top, scale, *map(abs, m[-1]))
+    if 4 * n * (top.bit_length() + n.bit_length()) > DIGIT_BIT_BUDGET:
+        return None
+    det = 1  # the last pivot: the leading minor of size k, then det of the scaled A
+    for k, pivot_row in enumerate(m):
+        if not pivot_row[k]:
+            return None
+        for row in m[k + 1:]:  # each division is exact (Sylvester's identity)
+            row[k + 1:] = [(x * pivot_row[k] - row[k] * y) // det
+                           for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        det = pivot_row[k]
+    ys = [0] * n  # x_i * det, ints by Cramer's rule
+    for i in range(n - 1, -1, -1):
+        ys[i] = (m[i][n] * det - sum(m[i][j] * ys[j] for j in range(i + 1, n))) // m[i][i]
+    xs = tuple(Fraction(y, det) for y in ys)
+    return SolveReport(tuple(map(GrossNumber.from_rational, xs)), xs, 0, (), None)
 
 
 def _number(entry) -> GrossNumber:

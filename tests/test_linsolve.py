@@ -242,16 +242,30 @@ def test_a_cut_product_is_reduced_again():
     assert linsolve._sub_mul((0, F(0)), entry, (0, F(-1, 6)), 1) == (0, F(0))
 
 
-def test_budget_reached_through_the_solver():
+@pytest.fixture
+def divide_calls(monkeypatch):
+    """The number of linsolve.divide calls so far, as a one-item list."""
+    calls, divide = [0], linsolve.divide
+
+    def counted(*args):
+        calls[0] += 1
+        return divide(*args)
+
+    monkeypatch.setattr(linsolve, "divide", counted)
+    return calls
+
+
+def test_budget_reached_through_the_solver(divide_calls):
     # The pivot-row quotient 3**1400000 / 1 is a product with the column's one
     # divide(), -1/1: its digit bits, 2218948 + 0, are checked before it is formed.
     system = LinearSystem.from_rows([[1, 3**1400000], [1, 1]], [1, 2])
     with pytest.raises(BudgetExceeded) as error:
         solve_grossone(system)
     assert str(error.value) == "digits need about 2218948 bits; limit is 2097152"
+    assert divide_calls[0] > 0
 
 
-def test_budget_reached_through_a_pivot_other_than_one():
+def test_budget_reached_through_a_pivot_other_than_one(divide_calls):
     # The inverse -1/3 adds its 2 bits to the entry's, and the product is refused
     # before it is formed.
     system = LinearSystem.from_rows([[3, 3**1400000], [1, 1]], [1, 2])
@@ -259,9 +273,22 @@ def test_budget_reached_through_a_pivot_other_than_one():
     with pytest.raises(BudgetExceeded, match="bits; limit is 2097152"):
         solve_grossone(system)
     assert time.perf_counter() - start < 2
+    assert divide_calls[0] > 0
 
 
-def test_one_wide_digit_solves_without_reducing_it_again():
+def test_budget_reached_through_a_wide_row_scale(divide_calls):
+    # Scaled to ints, the first row is [1, 2 | 1]: narrow entries, but its scale
+    # 3**1400000 is as wide as the inverse -3**1400000 of the pivot, which the
+    # column's divide() refuses, so the fraction-free path must not answer.
+    wide = F(1, 3**1400000)
+    system = LinearSystem.from_rows([[wide, 2 * wide], [1, 1]], [wide, 3])
+    with pytest.raises(BudgetExceeded) as error:
+        solve_grossone(system)
+    assert str(error.value) == "digits need about 2218948 bits; limit is 2097152"
+    assert divide_calls[0] == 1
+
+
+def test_one_wide_digit_solves_without_reducing_it_again(divide_calls):
     # A 475,000-bit entry: products and differences pair it with a narrow
     # denominator, as Fraction does, and a one-term digit is built once.
     system = LinearSystem.from_rows([[2, 1], [1, F(3, 2) ** 300000]], [1, 2])
@@ -270,3 +297,43 @@ def test_one_wide_digit_solves_without_reducing_it_again():
     assert time.perf_counter() - start < 1
     exact = solve_exact_oracle(system)
     assert report == SolveReport(tuple(map(gn, exact)), exact, 0, (), None)
+    assert divide_calls[0] > 0
+
+
+def _nonzero_rational(rng, max_den):
+    return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, max_den))
+
+
+def test_no_vanishing_leading_minor_solves_without_dividing(divide_calls):
+    # With no zero pivot the procedure injects nothing and is exact Gaussian
+    # elimination: the fraction-free path gives its whole report, dividing nothing.
+    rng = random.Random(30)
+    for n in range(1, 17):
+        for max_den in (1, 29):
+            a = [[_nonzero_rational(rng, max_den) for _ in range(n)] for _ in range(n)]
+            system = LinearSystem.from_rows(a, [_nonzero_rational(rng, max_den) for _ in a])
+            report, expected = solve_grossone(system), reference_solve(system)
+            assert divide_calls[0] == 0
+            assert report == expected and repr(report) == repr(expected)
+            assert report.injected_pivots == 0 and report.residual_leading_power is None
+
+
+def test_first_vanishing_leading_minor_at_every_size(divide_calls):
+    # The leading minor of size k vanishes, and none smaller: the procedure
+    # injects at column k - 1, so the fraction-free path leaves the system to
+    # it.  At k = n that minor is det A itself: a singular system.
+    rng = random.Random(31)
+    outcomes = []
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            a = [[_nonzero_rational(rng, 7) for _ in range(n)] for _ in range(n)]
+            r = rng.randrange(k - 1) if k > 1 else None
+            a[k - 1][:k] = [0] * k if r is None else [-3 * x for x in a[r][:k]]
+            system = LinearSystem.from_rows(a, [_nonzero_rational(rng, 7) for _ in a])
+            calls, expected = divide_calls[0], outcome(reference_solve, system)
+            outcomes.append(outcome(solve_grossone, system))
+            assert divide_calls[0] > calls
+            assert outcomes[-1] == expected and repr(outcomes[-1]) == repr(expected)
+            if type(outcomes[-1]) is SolveReport:
+                assert outcomes[-1].injected_rows[0] == k - 1
+    assert {type(o) for o in outcomes} == {SolveReport, tuple}
