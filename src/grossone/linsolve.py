@@ -74,7 +74,7 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
     """Solve without row interchange, injecting G**-1 for zero pivots.
 
     Each quotient is e times the column's one divide(), cut below G**-z; budgeted.
-    A system that would meet no zero pivot is solved by _fraction_free instead.
+    Where no pivot is zero and the entries are narrow, _fraction_free answers.
     Raises SingularSystem when a solution component keeps an infinite
     part, i.e. the injected infinitesimal failed to cancel, and
     InexactSolution when the residual A*x - b is not infinitesimal, i.e.

@@ -319,9 +319,9 @@ def test_no_vanishing_leading_minor_solves_without_dividing(divide_calls):
 
 
 def test_first_vanishing_leading_minor_at_every_size(divide_calls):
-    # The leading minor of size k vanishes, and none smaller: the procedure
-    # injects at column k - 1, so the fraction-free path leaves the system to
-    # it.  At k = n that minor is det A itself: a singular system.
+    # The leading minor of size k vanishes (a report shows none smaller did):
+    # the procedure injects at column k - 1, so the fraction-free path leaves
+    # the system to it.  At k = n that minor is det A itself: a singular system.
     rng = random.Random(31)
     outcomes = []
     for n in range(1, 9):
