@@ -10,7 +10,9 @@ pivoting is included as an independent check.
 Every grosspower met is an integer (rational inputs, G**-1, cutoffs -z), so an
 entry is a Laurent polynomial in G: (power, Fraction digit) for one term (digit
 0 for zero), else ({power: int numerator}, den) with den coprime to their gcd.
-Entries cancel once per product and difference, quotients too: e times 1/pivot.
+Elimination runs in Crout order, so each entry is formed once, as itself minus a sum
+of products, and cancelled once; quotients are e times 1/pivot.  The residual's
+leading power is read on ints, one grosspower at a time from the top down.
 """
 
 from __future__ import annotations
@@ -73,54 +75,44 @@ class SolveReport(Record):
 def solve_grossone(system: LinearSystem) -> SolveReport:
     """Solve without row interchange, injecting G**-1 for zero pivots.
 
-    Each quotient is e times the column's one divide(), cut below G**-z; budgeted.
-    Where no pivot is zero and the entries are narrow, _fraction_free answers.
-    Raises SingularSystem when a solution component keeps an infinite
-    part, i.e. the injected infinitesimal failed to cancel, and
-    InexactSolution when the residual A*x - b is not infinitesimal, i.e.
-    the finite solution would be wrong.
+    Crout order forms each entry once; each quotient is e times the column's one
+    divide(), cut below G**-z; budgeted.  Where no pivot is zero and the entries are
+    narrow, _fraction_free answers.  Raises SingularSystem when a solution component
+    keeps an infinite part, i.e. the injected infinitesimal failed to cancel, and
+    InexactSolution when the residual A*x - b is not infinitesimal, i.e. the finite
+    solution would be wrong.
     """
     if (report := _fraction_free(system)) is not None:
         return report
     n, zero = system.size, (0, Fraction(0))
     m = [[(0, x) for x in row] + [(0, rhs)] for row, rhs in zip(system.a, system.b)]
     injected = []
-    for col in range(n):
-        if not m[col][col][1]:
-            m[col][col] = (-1, Fraction(1))
-            injected.append(col)
+    for k, row in enumerate(m):
+        # Column k from row k down, then row k right of its pivot: factors times quotients.
+        for i, j in [(i, k) for i in range(k, n)] + [(k, j) for j in range(k + 1, n + 1)]:
+            m[i][j] = _sub_dot(m[i][j], [(m[i][c], m[c][j]) for c in range(k)])
+        if not row[k][1]:
+            row[k] = (-1, Fraction(1))
+            injected.append(k)
         # -1/pivot once per column, down to G**-(z + top): no entry e right of it reaches
         # above top, so the terms of e/pivot at powers >= -z (divide()'s quotient) are
-        # those of 0 - e*neg_inv.  Entries at and below the pivot are never read again.
+        # those of 0 - e*neg_inv.
         z, top = len(injected), max((p if type(q) is Fraction else max(p)
-                                     for p, q in m[col][col + 1:] if q), default=0)
-        neg_inv = _entry(divide(-1, _number(m[col][col]), -z - top).quotient)
-        m[col][col + 1:] = tail = [_sub_mul(zero, e, neg_inv, -z) for e in m[col][col + 1:]]
-        for row in m[col + 1:]:
-            factor = row[col]
-            if factor[1]:
-                row[col + 1:] = [_sub_mul(a, factor, b) for a, b in zip(row[col + 1:], tail)]
-    xs = [m[i][n] for i in range(n)]
+                                     for p, q in row[k + 1:] if q), default=0)
+        neg_inv = _entry(divide(-1, _number(row[k]), -z - top).quotient)
+        row[k + 1:] = [_sub_mul(zero, e, neg_inv, -z) for e in row[k + 1:]]
+    xs = [row[n] for row in m]
     for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            xs[i] = _sub_mul(xs[i], m[i][j], xs[j])
+        xs[i] = _sub_dot(xs[i], zip(m[i][i + 1:n], xs[i + 1:]))
     solution = tuple(map(_number, xs))
-    for i, x in enumerate(solution):
-        if not x.infinite_part().is_zero():
-            raise SingularSystem(
-                f"solution component {i} has an infinite part; "
-                "the system has no finite solution"
-            )
-    # Each row of A*x - b as one entry; its top power is its leading one.
-    rows = [(0, -rhs) for rhs in system.b]
-    for j, x in enumerate(xs):
-        rows = [_sub_mul(r, (0, -row[j]), x) for r, row in zip(rows, system.a)]
-    lead = max((p if type(q) is Fraction else max(p) for p, q in rows if q), default=None)
+    for i, (p, _) in enumerate(map(_ints, xs)):
+        if any(v for k, v in p.items() if k > 0):
+            raise SingularSystem(f"solution component {i} has an infinite part; "
+                                 "the system has no finite solution")
+    lead = _residual_lead(system, xs)
     if lead is not None and lead >= 0:
-        raise InexactSolution(
-            f"residual has a term at grosspower {lead}; "
-            "the finite solution does not solve the system"
-        )
+        raise InexactSolution(f"residual has a term at grosspower {lead}; "
+                              "the finite solution does not solve the system")
     return SolveReport(
         solution=solution,
         finite_solution=tuple(x.finite_part() for x in solution),
@@ -128,6 +120,20 @@ def solve_grossone(system: LinearSystem) -> SolveReport:
         injected_rows=tuple(injected),
         residual_leading_power=None if lead is None else GrossNumber.from_rational(lead),
     )
+
+
+def _residual_lead(system: LinearSystem, xs):
+    """The top grosspower of A*x - b for entries xs, None when it is zero: read one power
+    at a time from the top down, up to the first at which a row is nonzero, on ints: x over
+    one denominator d, b as -d at power 0 and each row of [A | b] scaled by its lcm."""
+    xs = list(map(_ints, xs))
+    d = lcm(*(q for _, q in xs))
+    xs = [{k: v * (d // q) for k, v in p.items()} for p, q in xs] + [{0: -d}]
+    rows = [[x.numerator * (s // x.denominator) for x in row]
+            for row in (a + (b,) for a, b in zip(system.a, system.b))
+            for s in [lcm(*(x.denominator for x in row))]]
+    return next((k for k in sorted(set().union(*xs), reverse=True)
+                 if any(sum(c * x.get(k, 0) for c, x in zip(row, xs)) for row in rows)), None)
 
 
 def _fraction_free(system: LinearSystem):
@@ -176,38 +182,57 @@ def _entry(number: GrossNumber):
 
 def _size(entry):
     """Terms and _bits of an entry, a longer one's from its int numerators and denominator."""
+    nums, d = _ints(entry)
+    return len(nums), (max(d, *map(abs, nums.values())) - 1).bit_length()
+
+
+def _ints(entry):
+    """An entry as ({power: int numerator}, int denominator)."""
     p, q = entry
-    nums, d = ([q.numerator], q.denominator) if type(q) is Fraction else (p.values(), q)
-    return len(nums), (max(d, *map(abs, nums)) - 1).bit_length()
+    return ({p: q.numerator}, q.denominator) if type(q) is Fraction else entry
 
 
 def _sub_mul(a, f, b, cut=None):
-    """a - f*b on entries, cancelled once per entry as Fraction does (Knuth, TAOCP
-    4.5.1): f*b by each denominator's gcd with the other's numerator content (by
-    Gauss's lemma, contents multiply), then a - f*b by its content's gcd with
-    gcd(da, dp).  One-term operands at one power subtract as Fractions.  With a
-    ``cut`` and a zero ``a``: f*b's terms at powers >= cut, checked by core's
-    product budgets as _budgeted_product checks them, and reduced once more."""
-    if not (f[1] and b[1]):
-        return a
-    if cut is not None:
+    """a - f*b on entries, by _sub_dot; with a ``cut``, checked first by core's product
+    budgets as _budgeted_product checks them."""
+    if cut is not None and f[1] and b[1]:
         (tf, bf), (tb, bb) = _size(f), _size(b)
         _check_budget(tf * tb, bf + bb)
-    if type(b[1]) is type(f[1]) is type(a[1]) is Fraction and (a[0] == f[0] + b[0] or not a[1]):
+    return _sub_dot(a, [(f, b)], cut)
+
+
+def _sub_dot(a, pairs, cut=None):
+    """a - the sum of f*b over ``pairs`` of entries, over the lcm d of a's and the products'
+    denominators, reduced once by the content's gcd with d.  A single product is cancelled
+    as Fraction cancels (Knuth, TAOCP 4.5.1): one-term operands at a's power subtract as
+    Fractions; else each denominator by its gcd with the other's numerator content (by
+    Gauss's lemma, contents multiply), and the sum's content by its gcd with gcd(da, dp).
+    With a ``cut`` and a zero ``a``: the product's terms at powers >= cut, whose content
+    may share any factor of d."""
+    pairs = [(f, b) for f, b in pairs if f[1] and b[1]]
+    if not pairs:
+        return a
+    (f, b), g = pairs[0], None
+    if len(pairs) == 1 and type(b[1]) is type(f[1]) is type(a[1]) is Fraction and (
+            a[0] == f[0] + b[0] or not a[1]):
         return (f[0] + b[0], a[1] - f[1] * b[1]) if cut is None or f[0] + b[0] >= cut else a
-    (na, da), (nf, df), (nb, db) = (({p: q.numerator}, q.denominator) if type(q) is Fraction
-                                    else (p, q) for p, q in (a, f, b))
-    g1, g2 = gcd(df, *nb.values()), gcd(db, *nf.values())
-    dp = df // g1 * (db // g2)
-    g = gcd(da, dp)
-    out = {k: x * (dp // g) for k, x in na.items()}
-    nb = [(k, x // g1) for k, x in nb.items()]
-    for kf, xf in nf.items():
-        xf = xf // g2 * (da // g)
-        for kb, xb in nb if cut is None else [t for t in nb if kf + t[0] >= cut]:
-            out[kf + kb] = out.get(kf + kb, 0) - xf * xb
-    h = gcd(g if cut is None else dp, *out.values())  # 1 at once when g is 1
-    out, d = {k: x // h for k, x in out.items() if x}, da * (dp // g) // h
+    (na, da), pairs = _ints(a), [(_ints(f), _ints(b)) for f, b in pairs]
+    if len(pairs) == 1:
+        (nf, df), (nb, db) = pairs[0]
+        g1, g2 = gcd(df, *nb.values()), gcd(db, *nf.values())
+        pairs = [(({k: x // g2 for k, x in nf.items()}, df // g1),
+                  ({k: x // g1 for k, x in nb.items()}, db // g2))]
+        g = gcd(da, df // g1 * (db // g2)) if cut is None else None
+    d = lcm(da, *(df * db for (_, df), (_, db) in pairs))
+    out = {k: x * (d // da) for k, x in na.items()}
+    for (nf, df), (nb, db) in pairs:
+        s = d // (df * db)
+        for kf, xf in nf.items():
+            xf *= s
+            for kb, xb in nb.items() if cut is None else [t for t in nb.items() if kf + t[0] >= cut]:
+                out[kf + kb] = out.get(kf + kb, 0) - xf * xb
+    h = gcd(g or d, *out.values())
+    out, d = {k: x // h for k, x in out.items() if x}, d // h
     if len(out) > 1:
         return out, d
     return next(((k, Fraction(x, d)) for k, x in out.items()), (0, Fraction(0)))

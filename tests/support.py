@@ -163,16 +163,21 @@ def reference_solve(system: LinearSystem) -> SolveReport:
         if max(x, default=0) > 0:
             raise SingularSystem(f"solution component {i} has an infinite part; "
                                  "the system has no finite solution")
-    rows = [R.laurent_add({0: -rhs}, {p: sum(c * x.get(p, 0) for c, x in zip(row, xs))
-                                      for x in xs for p in x})
-            for row, rhs in zip(system.a, system.b)]
-    lead = max((max(r) for r in rows if r), default=None)
+    lead = reference_residual_lead(system, xs)
     if lead is not None and lead >= 0:
         raise InexactSolution(f"residual has a term at grosspower {gn(lead)}; "
                               "the finite solution does not solve the system")
     return SolveReport(tuple(gt([(d, p) for p, d in x.items()]) for x in xs),
                        tuple(x.get(0, Fraction(0)) for x in xs), len(injected),
                        tuple(injected), None if lead is None else gn(lead))
+
+
+def reference_residual_lead(system: LinearSystem, xs):
+    """The largest grosspower of A*x - b for R's Laurent dicts xs, None when it is zero."""
+    rows = [R.laurent_add({0: -rhs}, {p: sum(c * x.get(p, 0) for c, x in zip(row, xs))
+                                      for x in xs for p in x})
+            for row, rhs in zip(system.a, system.b)]
+    return max((max(r) for r in rows if r), default=None)
 
 
 def _zero_leading_minors(rows) -> int:

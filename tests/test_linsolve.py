@@ -22,7 +22,9 @@ from support import (
     LOSSY_8X8,
     assert_record_contract,
     gn,
+    gt,
     random_system_with_zero_minors,
+    reference_residual_lead,
     reference_solve,
 )
 
@@ -177,18 +179,36 @@ def outcome(solve, system):
         return type(error), str(error)
 
 
+def _zero_triangle_system(rng, n, z):
+    """Entries in -2..2, with a zero top-left z-by-z upper triangle: z zero pivots or more."""
+    a = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+    for i in range(z):
+        a[i][i:z] = [0] * (z - i)
+    return LinearSystem.from_rows(a, [rng.randint(-5, 5) for _ in range(n)])
+
+
 def test_whole_report_matches_the_reference_procedure():
     # Every field, the solutions' infinitesimal tails included, and each
     # error's type and text: the benchmark's check reads only finite parts.
+    # Last come the sizes that set solve-inject's p90: n = 12 with 1-3 zero pivots,
+    # n = 16 with 1-2, and an n = 16 system whose leading minor of size 11 vanishes.
     rng = random.Random(25)
     systems = [LinearSystem.from_rows(*LOSSY_8X8)] + [
         random_system_with_zero_minors(rng, n, z)
         for n in range(2, 11) for z in range(3) for _ in range(2)
     ]
+    sizes = ((12, 1), (12, 2), (12, 3), (16, 1), (16, 2))
+    systems += [_zero_triangle_system(rng, n, z) for n, z in sizes]
+    a = [[_nonzero_rational(rng, 7) for _ in range(16)] for _ in range(16)]
+    a[10][:11] = [-3 * x for x in a[rng.randrange(10)][:11]]
+    systems.append(LinearSystem.from_rows(a, [_nonzero_rational(rng, 7) for _ in a]))
     outcomes = [outcome(solve_grossone, system) for system in systems]
-    assert outcomes == [outcome(reference_solve, system) for system in systems]
+    expected = [outcome(reference_solve, system) for system in systems]
+    assert outcomes == expected and list(map(repr, outcomes)) == list(map(repr, expected))
     assert outcomes[0][0] is InexactSolution
     assert any(report.residual_leading_power is not None for report in outcomes[1:])
+    assert all(report.injected_pivots >= z for report, (_, z) in zip(outcomes[-6:], sizes))
+    assert outcomes[-1].injected_rows[0] == 10
 
 
 # In the last column the one entry right of the pivot -2 - 1/4*G^-2 is
@@ -218,13 +238,9 @@ def test_report_matches_the_reference_on_every_quotient_path(monkeypatch):
     monkeypatch.setattr(linsolve, "divide", watched_divide)
     monkeypatch.setattr(linsolve, "_sub_mul", watched_sub_mul)
     rng = random.Random(26)
-    systems = [LinearSystem.from_rows(*ALL_CUT_4X4)]
-    for n in range(2, 15):
-        for z in range(min(n, 4)):
-            a = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
-            for i in range(z):  # a zero top-left z-by-z upper triangle: z zero pivots or more
-                a[i][i:z] = [0] * (z - i)
-            systems.append(LinearSystem.from_rows(a, [rng.randint(-5, 5) for _ in range(n)]))
+    systems = [LinearSystem.from_rows(*ALL_CUT_4X4)] + [
+        _zero_triangle_system(rng, n, z) for n in range(2, 15) for z in range(min(n, 4))
+    ]
     outcomes = [outcome(solve_grossone, system) for system in systems]
     assert outcomes == [outcome(reference_solve, system) for system in systems]
     assert any(type(report) is tuple for report in outcomes)
@@ -298,6 +314,51 @@ def test_one_wide_digit_solves_without_reducing_it_again(divide_calls):
     exact = solve_exact_oracle(system)
     assert report == SolveReport(tuple(map(gn, exact)), exact, 0, (), None)
     assert divide_calls[0] > 0
+
+
+def test_wide_digit_residual_is_read_on_ints(divide_calls):
+    # (3/2)**700000 has 1.1M bits: A*x - b is formed from integer products and
+    # compared with zero, with no gcd of two wide digits.
+    system = LinearSystem.from_rows([[2, 1], [1, F(3, 2) ** 700000]], [1, 2])
+    start = time.perf_counter()
+    report = solve_grossone(system)
+    assert time.perf_counter() - start < 0.5
+    exact = solve_exact_oracle(system)
+    assert report == SolveReport(tuple(map(gn, exact)), exact, 0, (), None)
+    assert divide_calls[0] > 0
+
+
+def test_residual_leading_power_matches_the_reference():
+    # The residual as the solver reports it: zero, at G^-1, and at G^0 (an error).
+    zero = LinearSystem.from_rows([[0, -1], [2, 1]], [-2, 2])
+    systems = [zero, ZERO_PIVOT_2X2, LinearSystem.from_rows(*LOSSY_8X8)]
+    outcomes = [outcome(solve_grossone, system) for system in systems]
+    expected = [outcome(reference_solve, system) for system in systems]
+    assert outcomes == expected and list(map(repr, outcomes)) == list(map(repr, expected))
+    assert [report.injected_rows for report in outcomes[:2]] == [(0,), (0,)]
+    assert [report.residual_leading_power for report in outcomes[:2]] == [None, gn(-1)]
+    assert outcomes[2] == (InexactSolution, "residual has a term at grosspower 0; "
+                           "the finite solution does not solve the system")
+
+
+def test_residual_read_top_down_below_g_minus_one():
+    # No solve leaves a residual led below G^-1: with every injected component's
+    # finite part zero, the procedure's solution is exact, and else the injected
+    # rows lead at G^-1.  So deeper leads are read from solutions perturbed by
+    # hand, against the reference's residual: A*v != 0 leads at v's top power.
+    system = LinearSystem.from_rows([[F(1, 2), 3, 0], [2, F(-1, 3), 1], [0, 5, F(7, 4)]],
+                                    [1, F(2, 5), -3])
+    exact = solve_exact_oracle(system)
+    for tails, lead in [({}, None), ({-2: (1, 0, 0)}, -2), ({-4: (6, -1, 0)}, -4),
+                        ({-3: (0, F(2, 3), 0), -5: (1, 1, 1)}, -3), ({1: (0, 0, 1)}, 1)]:
+        xs = [{0: x} for x in exact]
+        for power, v in tails.items():
+            for x, digit in zip(xs, v):
+                if digit:
+                    x[power] = F(digit)
+        entries = [linsolve._entry(gt([(d, p) for p, d in x.items()])) for x in xs]
+        assert linsolve._residual_lead(system, entries) == lead
+        assert reference_residual_lead(system, xs) == lead
 
 
 def _nonzero_rational(rng, max_den):
