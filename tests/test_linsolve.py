@@ -342,10 +342,11 @@ def test_residual_leading_power_matches_the_reference():
 
 
 def test_residual_read_top_down_below_g_minus_one():
-    # No solve leaves a residual led below G^-1: with every injected component's
-    # finite part zero, the procedure's solution is exact, and else the injected
-    # rows lead at G^-1.  So deeper leads are read from solutions perturbed by
-    # hand, against the reference's residual: A*v != 0 leads at v's top power.
+    # No solve leaves a residual led below G^-1: if every injected component of
+    # the exact solution is 0, the procedure returns that solution exactly, and
+    # else each injected row leads at G^-1.  So deeper leads are read from
+    # solutions perturbed by hand, against the reference's residual: A*v != 0
+    # leads at v's top power.
     system = LinearSystem.from_rows([[F(1, 2), 3, 0], [2, F(-1, 3), 1], [0, 5, F(7, 4)]],
                                     [1, F(2, 5), -3])
     exact = solve_exact_oracle(system)
