@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: eval, solve, sum, prob, measure, repl.  Numerals use the
-text grammar from the notation module; linear systems and measure pieces
-are read from JSON files.  Every failure prints a single
-``<category>: <message>`` line to stderr through _report and exits with
-the category's code (see _ERROR_TABLE).
+Subcommands: eval, solve, sum, prob, measure, repl.  _build_parser
+registers each once, with its handler and the flags of _FLAGS (README's
+flag table) it takes.  Numerals use the text grammar from the notation
+module; linear systems and measure pieces are read from JSON files.
+Every failure prints a single ``<category>: <message>`` line to stderr
+through _report and exits with the category's code (see _ERROR_TABLE).
 """
 
 from __future__ import annotations
@@ -66,40 +67,41 @@ class _SingleLineParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# README's flag table: each flag a subcommand may take, with its options.  A
+# subcommand that does not take a flag keeps the flag's default.
+_FLAGS = {
+    "--min-power": dict(type=int, default=DEFAULT_MIN_POWER,
+                        help="lowest grosspower kept by divisions (default %(default)s)"),
+    "--depth": dict(type=int, default=DEFAULT_DEPTH_LIMIT,
+                    help="grosspower nesting limit (default %(default)s)"),
+    "--decimal": dict(nargs="?", const=6, type=int, default=None, metavar="DIGITS",
+                      help="print digits as decimals instead of exact rationals"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _SingleLineParser(
         prog="grossone",
         description="Exact arithmetic with finite, infinite, and infinitesimal numerals.",
     )
-    # Each subcommand takes only the flags it reads; the others keep these.
-    parser.set_defaults(min_power=DEFAULT_MIN_POWER, depth=DEFAULT_DEPTH_LIMIT, decimal=None)
-    min_power = _flag(
-        "--min-power",
-        type=int,
-        help=f"lowest grosspower kept by divisions (default {DEFAULT_MIN_POWER})",
-    )
-    depth = _flag(
-        "--depth", type=int, help=f"grosspower nesting limit (default {DEFAULT_DEPTH_LIMIT})"
-    )
-    decimal = _flag(
-        "--decimal",
-        nargs="?",
-        const=6,
-        type=int,
-        metavar="DIGITS",
-        help="print digits as decimals instead of exact rationals",
-    )
+    parser.set_defaults(**{flag[2:].replace("-", "_"): o["default"] for flag, o in _FLAGS.items()})
     sub = parser.add_subparsers(dest="command", required=True)
 
-    all_flags = [min_power, depth, decimal]
-    p_eval = sub.add_parser("eval", parents=all_flags, help="evaluate an expression")
+    def command(name, handler, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p_eval = command("eval", _cmd_eval, "evaluate an expression", *_FLAGS)
     p_eval.add_argument("expr", help="expression over x, G, and numeric literals")
     p_eval.add_argument("--at", help="numeral substituted for x", default=None)
 
-    p_solve = sub.add_parser("solve", help="solve a linear system from JSON")
+    p_solve = command("solve", _cmd_solve, "solve a linear system from JSON")
     p_solve.add_argument("path", help='JSON file {"A": [[...]], "b": [...]}')
 
-    p_sum = sub.add_parser("sum", parents=all_flags, help="sum with an explicit item count")
+    p_sum = command("sum", _cmd_sum, "sum with an explicit item count", *_FLAGS)
     p_sum.add_argument("formula", nargs="?", help="partial-sum formula S(x)")
     p_sum.add_argument("--items", required=True, help="numeral item count")
     p_sum.add_argument(
@@ -108,24 +110,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sum 1 - 1 + 1 - ... instead of using a formula",
     )
 
-    p_prob = sub.add_parser("prob", parents=all_flags, help="event probability favorable/total")
+    p_prob = command("prob", _cmd_prob, "event probability favorable/total", *_FLAGS)
     p_prob.add_argument("--favorable", required=True, help="numeral count of favorable events")
     p_prob.add_argument("--total", required=True, help="numeral count of all events")
 
-    p_measure = sub.add_parser(
-        "measure", parents=[decimal], help="total measure of mixed-dimension pieces"
-    )
+    p_measure = command("measure", _cmd_measure, "total measure of mixed-dimension pieces",
+                        "--decimal")
     p_measure.add_argument("path", help="JSON file with a list of pieces")
 
-    sub.add_parser("repl", parents=[min_power, decimal], help="interactive read-eval-print loop")
+    command("repl", _cmd_repl, "interactive read-eval-print loop", "--min-power", "--decimal")
     return parser
-
-
-def _flag(*names: str, **options) -> argparse.ArgumentParser:
-    """A parent parser with one flag; left unset, the flag keeps the top-level default."""
-    holder = argparse.ArgumentParser(add_help=False)
-    holder.add_argument(*names, default=argparse.SUPPRESS, **options)
-    return holder
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -134,9 +128,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _count(args.depth, "--depth", 1)
         if args.decimal is not None:
             _decimal_digits(args.decimal)
-        handler = {"eval": _cmd_eval, "solve": _cmd_solve, "sum": _cmd_sum, "prob": _cmd_prob,
-                   "measure": _cmd_measure, "repl": _cmd_repl}[args.command]
-        code = handler(args)
+        code = args.handler(args)
         sys.stdout.flush()  # a reader gone early raises here, not in the exit flush
         return code
     except BrokenPipeError:  # stdout's reader left: no error, and the exit flush to devnull

@@ -192,10 +192,10 @@ def _ints(entry):
     return ({p: q.numerator}, q.denominator) if type(q) is Fraction else entry
 
 
-def _sub_mul(a, f, b, cut=None):
-    """a - f*b on entries, by _sub_dot; with a ``cut``, checked first by core's product
+def _sub_mul(a, f, b, cut):
+    """a - f*b on entries, by _sub_dot with its ``cut``; checked first by core's product
     budgets as _budgeted_product checks them."""
-    if cut is not None and f[1] and b[1]:
+    if f[1] and b[1]:
         (tf, bf), (tb, bb) = _size(f), _size(b)
         _check_budget(tf * tb, bf + bb)
     return _sub_dot(a, [(f, b)], cut)

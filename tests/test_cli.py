@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grossone.cli import main
+from grossone.cli import _build_parser, main
+from grossone.core import DEFAULT_DEPTH_LIMIT, DEFAULT_MIN_POWER
 from support import INT_DIGIT_LIMIT, LOSSY_8X8
 
 H_TEXT = "((x^2 + 2*x)/x - 2)*(34/x)"
@@ -473,6 +474,46 @@ def test_argparse_errors_are_single_line(capsys):
         assert main([command, flag, "3"] + ([] if command == "repl" else ["f.json"])) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage-error:") and err.count("\n") == 1
+
+
+_README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+# A shortest command line of each subcommand, and a value other than the default for each flag.
+_BARE_ARGV = {
+    "eval": ["eval", "1"],
+    "solve": ["solve", "f.json"],
+    "sum": ["sum", "--items", "G"],
+    "prob": ["prob", "--favorable", "1", "--total", "G"],
+    "measure": ["measure", "f.json"],
+    "repl": ["repl"],
+}
+_FLAG_VALUES = {"--min-power": ("min_power", -3), "--depth": ("depth", 4), "--decimal": ("decimal", 9)}
+
+
+def _readme_flag_table():
+    """{subcommand: the flags that README.md's flag table marks "yes" for it}."""
+    with open(_README, encoding="utf-8") as handle:
+        rows = [line.split("|")[1:-1] for line in handle if line.startswith("|")]
+    flags = [cell.strip().strip("`") for cell in rows[0][1:]]
+    return {
+        name.strip().strip("`"): {flag for flag, cell in zip(flags, cells) if cell.strip() == "yes"}
+        for names, *cells in rows[2:]
+        for name in names.split(",")
+    }
+
+
+def test_each_subcommand_reads_the_flags_readme_gives_it():
+    table = _readme_flag_table()
+    assert set(table) == set(_BARE_ARGV)
+    defaults = {"min_power": DEFAULT_MIN_POWER, "depth": DEFAULT_DEPTH_LIMIT, "decimal": None}
+    for command, taken in table.items():
+        # A flag the subcommand takes carries its value; the others keep their defaults.
+        argv, expected = list(_BARE_ARGV[command]), dict(defaults)
+        for flag in taken:
+            dest, value = _FLAG_VALUES[flag]
+            argv += [flag, str(value)]
+            expected[dest] = value
+        parsed = vars(_build_parser().parse_args(argv))
+        assert {dest: parsed[dest] for dest in defaults} == expected, argv
 
 
 # -- input nested too deeply --------------------------------------------------------
